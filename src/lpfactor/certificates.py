@@ -29,8 +29,8 @@ class FactorizationCertificate:
     params: Optional[object] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "u", tuple(float(c) for c in self.u))
-        object.__setattr__(self, "v", tuple(float(c) for c in self.v))
+        object.__setattr__(self, "u", tuple(map(float, self.u)))
+        object.__setattr__(self, "v", tuple(map(float, self.v)))
         if len(self.u) != len(self.v):
             raise ValueError("factor pair lengths differ")
 

@@ -13,19 +13,39 @@ scalar kernel does the rest.
 
 With counting measure (all atom measures 1) this specializes to the
 sequence spaces l_p x l_q.
+
+Validation: the ``SimpleFunction`` constructors have already checked that
+every coefficient is finite and every measure valid, so ``factor_countable``
+only checks membership (f in L_p, g in L_q, h in L_1), through the cheap
+sufficient bound of ``norm_is_finite``.  Inside the pipeline its inputs are
+the quantized core functions, themselves built on the trusted path.  The
+per-atom work runs on bare floats: the Lemma-2 loop calls ``scalar._split``
+directly, without a ``ScalarBox`` or ``ScalarFactorPair`` per atom.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import and_, mul, not_, sub, truediv, truth
 from typing import Union
 
 from .certificates import FactorizationCertificate
 from .errors import FeasibilityError
-from .measure import Exponent, SimpleFunction, conjugate, fsum_or_inf, norm
-from .scalar import ScalarBox, factor_scalar
+from .measure import (
+    Exponent,
+    SimpleFunction,
+    conjugate,
+    fsum_or_inf,
+    norm,  # noqa: F401  (bench/spans.py traces calls through this name)
+    norm_is_finite,
+)
+from .scalar import _split
+from .scalar import factor_scalar  # noqa: F401  (traced here by bench/spans.py)
 
 __all__ = ["AgreementSplit", "agreement_split", "factor_countable"]
+
+_L1 = Exponent(1)
 
 
 @dataclass(frozen=True)
@@ -46,19 +66,27 @@ class AgreementSplit:
     scheme: str
 
 
-def _split_indices(f: SimpleFunction, g: SimpleFunction, h: SimpleFunction):
-    """Indices of E (exact agreement or null atom) and of the defect atoms."""
-    agree = []
-    working = []
-    measures = f.space.measures
-    for i, (x, y, z) in enumerate(
-        zip(f.coefficients, g.coefficients, h.coefficients)
-    ):
-        if z == x * y or measures[i] == 0.0:
-            agree.append(i)
-        else:
-            working.append(i)
-    return agree, working
+def atom_defects(f: SimpleFunction, g: SimpleFunction, h: SimpleFunction) -> list:
+    """|z_n - x_n y_n| for every atom, in C-level passes."""
+    products = map(mul, f.coefficients, g.coefficients)
+    return list(map(abs, map(sub, h.coefficients, products)))
+
+
+def copy_pair(x: float, y: float, z: float):
+    """The exact split for an atom that needs no correction."""
+    if z == x * y:
+        return x, y
+    # Null atom with a disagreeing target: invisible to every norm, so a
+    # balanced exact square root splits it.
+    root = math.sqrt(abs(z))
+    return root, (math.copysign(root, z) if z != 0 else 0.0)
+
+
+def check_memberships(f, g, h, p: Exponent) -> None:
+    """Raise ValueError unless f is in L_p, g in L_q and h in L_1."""
+    for name, fn, expo in (("f", f, p), ("g", g, conjugate(p)), ("h", h, _L1)):
+        if not norm_is_finite(fn, expo):
+            raise ValueError(f"{name} has infinite norm; not a member of its space")
 
 
 def agreement_split(
@@ -80,13 +108,14 @@ def agreement_split(
         raise ValueError("agreement_split requires finite p; swap the factors")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    agree, working = _split_indices(f, g, h)
+    defects = atom_defects(f, g, h)
     measures = f.space.measures
-    defects = {
-        i: abs(h.coefficients[i] - f.coefficients[i] * g.coefficients[i])
-        for i in working
-    }
-    eta = fsum_or_inf(defects[i] * measures[i] for i in working)
+    # Outside E: a nonzero defect on an atom of nonzero measure.
+    outside = list(map(and_, map(truth, defects), map(truth, measures)))
+    working = list(compress(range(len(defects)), outside))
+    shares = list(compress(defects, outside))
+    weights = list(compress(measures, outside))
+    eta = fsum_or_inf(map(mul, shares, weights))
     bound = eps * eps / 4.0
     if not eta < bound:
         raise FeasibilityError(eta, bound, context="countable factorization")
@@ -99,20 +128,23 @@ def agreement_split(
     eta_scale = max(eta, len(working) * 5e-324)
     inv_p = p.reciprocal()
     inv_q = conjugate(p).reciprocal()
-    lambdas = {}
-    radii = {}
-    for i in working:
-        lambdas[i] = defects[i] * measures[i] / eta if eta > 0 else 0.0
-        ratio = defects[i] / eta_scale
-        if inv_q == 0.0:  # p = 1: r_k = lambda_k eps / mu(A_k), R_k = eps
-            radii[i] = (eps * ratio, eps)
-        else:
-            radii[i] = (eps * ratio**inv_p, eps * ratio**inv_q)
+    if eta > 0:
+        lambdas = map(truediv, map(mul, shares, weights), repeat(eta))
+    else:
+        lambdas = repeat(0.0, len(working))
+    ratios = list(map(truediv, shares, repeat(eta_scale)))
+    if inv_q == 0.0:  # p = 1: r_k = lambda_k eps / mu(A_k), R_k = eps
+        radii = zip(map(mul, repeat(eps), ratios), repeat(eps))
+    else:
+        radii = zip(
+            map(mul, repeat(eps), map(pow, ratios, repeat(inv_p))),
+            map(mul, repeat(eps), map(pow, ratios, repeat(inv_q))),
+        )
     return AgreementSplit(
-        agree=frozenset(agree),
+        agree=frozenset(compress(range(len(defects)), map(not_, outside))),
         eta=eta,
-        lambdas=lambdas,
-        radii=radii,
+        lambdas=dict(zip(working, lambdas)),
+        radii=dict(zip(working, radii)),
         scheme="lemma2",
     )
 
@@ -134,7 +166,7 @@ def factor_countable(
     if not isinstance(p, Exponent):
         p = Exponent(p)
     if p.is_infinite:
-        swapped = factor_countable(g, f, h, Exponent(1), eps)
+        swapped = factor_countable(g, f, h, _L1, eps)
         return FactorizationCertificate(
             u=swapped.v,
             v=swapped.u,
@@ -143,31 +175,22 @@ def factor_countable(
             strict_u=swapped.strict_v,
             strict_v=swapped.strict_u,
         )
-    for name, fn, q_ in (("f", f, p), ("g", g, conjugate(p)), ("h", h, Exponent(1))):
-        if math.isinf(norm(fn, q_)):
-            raise ValueError(f"{name} has infinite norm; not a member of its space")
+    check_memberships(f, g, h, p)
 
     split = agreement_split(f, g, h, p, eps)
-    measures = f.space.measures
-    u = list(f.coefficients)
-    v = list(g.coefficients)
+    fs, gs, hs = f.coefficients, g.coefficients, h.coefficients
+    u = list(fs)
+    v = list(gs)
     for i in split.agree:
-        z = h.coefficients[i]
-        if z != f.coefficients[i] * g.coefficients[i]:
-            # Null atom with a disagreeing target: invisible to every norm,
-            # so a balanced exact square root splits it.
-            root = math.sqrt(abs(z))
-            u[i] = root
-            v[i] = math.copysign(root, z) if z != 0 else 0.0
+        u[i], v[i] = copy_pair(fs[i], gs[i], hs[i])
+    inf = math.inf
     for i, (r, big_r) in split.radii.items():
-        x, y, z = f.coefficients[i], g.coefficients[i], h.coefficients[i]
-        if 0.0 < r < math.inf and 0.0 < big_r < math.inf:
-            try:
-                pair = factor_scalar(ScalarBox(x, y, r, big_r), z)
-                u[i], v[i] = pair.u, pair.v
+        x, y, z = fs[i], gs[i], hs[i]
+        if 0.0 < r < inf and 0.0 < big_r < inf:
+            pair = _split(x, y, r, big_r, z)
+            if pair is not None:
+                u[i], v[i], _ = pair
                 continue
-            except FeasibilityError:
-                pass
         # Rounding starved an atom whose budget holds analytically (the
         # radius under- or overflowed, or the strict bound flipped by one
         # ulp): split by exact division against the larger coordinate, or

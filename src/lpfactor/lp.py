@@ -17,23 +17,34 @@ feasible interval can sit closer to 1 than floating point can represent.
 When a grid is finer than double precision can resolve, quantization
 degenerates to the identity, which is exactly the correctly rounded result
 of the true grid.
+
+Validation happens once, at the edge: the ``SimpleFunction`` and
+``MeasureSpace`` constructors check finiteness and measures, and
+``factor_general`` checks membership (f in L_p, g in L_q, h in L_1) through
+the cheap sufficient bound of ``norm_is_finite``.  Everything derived from
+valid inputs is built on the trusted path, without re-validation: the
+working and core subspaces (``MeasureSpace.subspace``), the restrictions of
+f, g and h to them, the truncation envelope, and the quantized functions.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import and_, mul, not_, truth
 from typing import Optional, Union
 
 from .certificates import FactorizationCertificate
-from .countable import factor_countable
+from .countable import atom_defects, check_memberships, copy_pair, factor_countable
 from .errors import FeasibilityError
 from .measure import (
+    INFINITE,
     Exponent,
     SimpleFunction,
     conjugate,
     fsum_or_inf,
-    norm,
+    norm,  # noqa: F401  (bench/spans.py traces calls through this name)
     pow_or_inf,
     truncate_support,
 )
@@ -50,6 +61,7 @@ __all__ = [
 
 _TINY = 5e-324  # smallest positive double; keeps "half the sup bound" positive
 _GRID_LIMIT = 2.0**53  # beyond this many grid steps a double cannot resolve one
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -111,13 +123,13 @@ def select_params(
     if m <= 0:
         raise ValueError("m must be positive")
 
-    def admissible(t: float) -> bool:
-        return t + math.sqrt(4.0 * defect + 8.0 * t) < eps
-
+    # Bisection on the admissibility test t + sqrt(4 defect + 8 t) < eps.
+    four_defect = 4.0 * defect
+    sqrt = math.sqrt
     lo, hi = 0.0, eps
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        if admissible(mid):
+        if mid + sqrt(four_defect + 8.0 * mid) < eps:
             lo = mid
         else:
             hi = mid
@@ -137,17 +149,18 @@ def select_params(
 
     # Both constraints on d are of the form 1 - d < s_max; work with
     # s = 1 - d exactly, since s_max can be far below one ulp of 1.0.
-    s_flat = Fraction(eps1) / (Fraction(m) * Fraction(m))
+    m_squared = Fraction(m) ** 2
+    s_flat = Fraction(eps1) / m_squared
     margin = eps - eps1 - eps_bar  # > 0 whenever eps1 was admissible
     if margin <= 0:
         raise FeasibilityError(defect, bound, context="parameter selection")
     growth = pow_or_inf(m, 1.0 + inv_p)
     if math.isinf(growth):
-        denom = Fraction(m) * Fraction(m) + 1  # >= m^(1+1/p) once m >= 1
+        denom = m_squared + 1  # >= m^(1+1/p) once m >= 1
     else:
         denom = Fraction(growth) + Fraction(eps - eps1)
     s_slope = Fraction(margin) / denom
-    s_star = min(s_flat, s_slope, Fraction(1))
+    s_star = min(s_flat, s_slope, _ONE)
     d = 1 - s_star / 2
     return QuantizationParams(m=m, eps1=eps1, delta=delta, d=d, eps_bar=eps_bar)
 
@@ -163,22 +176,25 @@ def quantize_grid(f: SimpleFunction, delta: float) -> SimpleFunction:
     if delta <= 0:
         raise ValueError("delta must be positive")
     out = []
+    push = out.append
+    copysign = math.copysign
     for c in f.coefficients:
         t = abs(c)
         if t == 0.0:
-            out.append(0.0)
+            push(0.0)
             continue
         steps = t / delta
         if steps >= _GRID_LIMIT:
-            out.append(c)
+            push(c)
             continue
         k = int(steps)
         while (k + 1) * delta <= t:
             k += 1
         while k > 0 and k * delta > t:
             k -= 1
-        out.append(math.copysign(k * delta, c))
-    return f.replace_coefficients(out)
+        push(copysign(k * delta, c))
+    # |f'| <= |f| pointwise: finite wherever f is.
+    return SimpleFunction._trusted(f.space, tuple(out))
 
 
 def quantize_geometric(
@@ -198,34 +214,44 @@ def quantize_geometric(
     if m <= 0:
         raise ValueError("m must be positive")
     d_f = float(d)
-    for c in h.coefficients:
-        if abs(c) > m:
-            raise ValueError(f"|h| exceeds the declared bound m: {c!r} > {m!r}")
+    coeffs = h.coefficients
+    if max(map(abs, coeffs), default=0.0) > m:
+        c = next(c for c in coeffs if abs(c) > m)
+        raise ValueError(f"|h| exceeds the declared bound m: {c!r} > {m!r}")
     if d_f >= 1.0:
         return h
-    log_d = math.log(d_f)
+    log, ceil, copysign = math.log, math.ceil, math.copysign
+    log_d = log(d_f)
+    log_m = log(m)
     out = []
-    for c in h.coefficients:
+    push = out.append
+    for c in coeffs:
         t = abs(c)
         if t == 0.0:
-            out.append(0.0)
+            push(0.0)
             continue
         # logs taken separately: t/m may underflow even though both are fine
-        s = (math.log(t) - math.log(m)) / log_d
+        s = (log(t) - log_m) / log_d
         if s >= _GRID_LIMIT / 2.0:
             # Grid levels this deep differ by less than a double can hold.
-            out.append(c)
+            push(c)
             continue
-        j = max(1, math.ceil(s))
+        j = max(1, ceil(s))
+        dj = d_f**j
         guard = 0
-        while m * d_f**j > t:
+        while m * dj > t:
             j += 1
+            dj = d_f**j
             guard += 1
             if guard > 10000:
                 raise AssertionError("geometric bracket search did not settle")
-        while j > 1 and m * d_f ** (j - 1) <= t:
+        while j > 1:
+            below = d_f ** (j - 1)
+            if m * below > t:
+                break
             j -= 1
-        val = m * d_f**j
+            dj = below
+        val = m * dj
         if val <= 0.0:
             # d^j underflowed on its own even though the level itself is
             # representable; recover it in log space, or keep t when the
@@ -236,8 +262,9 @@ def quantize_geometric(
                 val = 0.0
             if val <= 0.0:
                 val = t
-        out.append(math.copysign(val, c))
-    return h.replace_coefficients(out)
+        push(copysign(val, c))
+    # Every value is h's own or a grid level of magnitude at most m: finite.
+    return SimpleFunction._trusted(h.space, tuple(out))
 
 
 def snap_to_gamma_grid(value: float, gamma: float, cap: float) -> float:
@@ -274,32 +301,15 @@ def snap_to_gamma_grid(value: float, gamma: float, cap: float) -> float:
     return math.copysign((k + 1) * gamma, 1.0 if value >= 0 else -1.0)
 
 
-def _copy_pair(x: float, y: float, z: float):
-    """The exact split for an atom that needs no correction."""
-    if z == x * y:
-        return x, y
-    # Null atom with a disagreeing target: balanced square-root split.
-    root = math.sqrt(abs(z))
-    return root, (math.copysign(root, z) if z != 0 else 0.0)
-
-
-def _lp_defect(f, g, h) -> float:
-    terms = []
-    for x, y, z, mu in zip(
-        f.coefficients, g.coefficients, h.coefficients, f.space.measures
-    ):
-        d = abs(z - x * y)
-        if d == 0.0 or mu == 0.0:
-            continue
-        terms.append(d * mu)
-    return fsum_or_inf(terms)
-
-
-def _check_memberships(f, g, h, p) -> None:
-    q = conjugate(p)
-    for name, fn, expo in (("f", f, p), ("g", g, q), ("h", h, Exponent(1))):
-        if math.isinf(norm(fn, expo)):
-            raise ValueError(f"{name} has infinite norm; not a member of its space")
+def _lp_defect(defects: list, measures: tuple) -> float:
+    """||h - fg||_1 from the per-atom defects, skipping null atoms."""
+    nonzero = list(compress(defects, defects))
+    total = fsum_or_inf(map(mul, nonzero, compress(measures, defects)))
+    if total != total:
+        # An overflowed product on a null atom met its zero measure as
+        # inf * 0; null atoms are invisible, so sum without them.
+        total = fsum_or_inf(d * mu for d, mu in zip(defects, measures) if d and mu)
+    return total
 
 
 def factor_bounded(
@@ -330,40 +340,43 @@ def factor_bounded(
             params=swapped.params,
         )
 
-    defect = _lp_defect(f, g, h)
+    fs, gs, hs = f.coefficients, g.coefficients, h.coefficients
+    measures = f.space.measures
+    defects = atom_defects(f, g, h)
+    defect = _lp_defect(defects, measures)
     bound = eps * eps / 4.0
     if not defect < bound:
         raise FeasibilityError(defect, bound, context="bounded factorization")
 
-    measures = f.space.measures
-    u = list(f.coefficients)
-    v = list(g.coefficients)
-    working = []
-    for i, (x, y, z) in enumerate(
-        zip(f.coefficients, g.coefficients, h.coefficients)
-    ):
-        if z == x * y or measures[i] == 0.0:
-            u[i], v[i] = _copy_pair(x, y, z)
-        else:
-            working.append(i)
+    # The pipeline runs on the atoms with a nonzero defect and a nonzero
+    # measure; the others keep an exact split.
+    outside = list(map(and_, map(truth, defects), map(truth, measures)))
+    u = list(fs)
+    v = list(gs)
+    for i in compress(range(len(fs)), map(not_, outside)):
+        u[i], v[i] = copy_pair(fs[i], gs[i], hs[i])
+    working = list(compress(range(len(fs)), outside))
     if not working:
         return FactorizationCertificate(
             u=tuple(u), v=tuple(v), radius_u=eps, radius_v=eps
         )
 
-    sub = f.space.subspace(working)
-    f2 = SimpleFunction(sub, tuple(f.coefficients[i] for i in working))
-    g2 = SimpleFunction(sub, tuple(g.coefficients[i] for i in working))
-    h2 = SimpleFunction(sub, tuple(h.coefficients[i] for i in working))
+    if len(working) == len(fs):
+        sub, f2, g2, h2 = f.space, f, g, h
+    else:
+        sub = f.space.subspace(working)
+        f2 = SimpleFunction._trusted(sub, tuple(compress(fs, outside)))
+        g2 = SimpleFunction._trusted(sub, tuple(compress(gs, outside)))
+        h2 = SimpleFunction._trusted(sub, tuple(compress(hs, outside)))
     mu_total = fsum_or_inf(sub.measures)
     if math.isinf(mu_total):
         raise ValueError("bounded stage requires finite measure where h != fg")
     m = (
         max(
             mu_total,
-            max(abs(c) for c in f2.coefficients),
-            max(abs(c) for c in g2.coefficients),
-            max(abs(c) for c in h2.coefficients),
+            max(map(abs, f2.coefficients)),
+            max(map(abs, g2.coefficients)),
+            max(map(abs, h2.coefficients)),
         )
         + 1.0
     )
@@ -372,12 +385,14 @@ def factor_bounded(
     g_q = quantize_grid(g2, params.delta)
     h_q = quantize_geometric(h2, params.d, m)
     inner = factor_countable(f_q, g_q, h_q, p, params.eps_bar)
-    for pos, i in enumerate(working):
-        target = h2.coefficients[pos]
-        snapped = h_q.coefficients[pos]
-        alpha = target / snapped if snapped != 0.0 else 1.0
-        u[i] = alpha * inner.u[pos]
-        v[i] = inner.v[pos]
+    # alpha = h/h' in [1, 1/d] repairs the geometric quantization of h.
+    repaired = [
+        (target / snapped if snapped != 0.0 else 1.0) * w
+        for target, snapped, w in zip(h2.coefficients, h_q.coefficients, inner.u)
+    ]
+    for i, a, b in zip(working, repaired, inner.v):
+        u[i] = a
+        v[i] = b
     return FactorizationCertificate(
         u=tuple(u), v=tuple(v), radius_u=eps, radius_v=eps, params=params
     )
@@ -412,22 +427,18 @@ def factor_general(
             radius_v=eps,
             params=swapped.params,
         )
-    _check_memberships(f, g, h, p)
-    defect = _lp_defect(f, g, h)
+    check_memberships(f, g, h, p)
+    fs, gs, hs = f.coefficients, g.coefficients, h.coefficients
+    measures = f.space.measures
+    defects = atom_defects(f, g, h)
+    defect = _lp_defect(defects, measures)
     bound = eps * eps / 4.0
     if not defect < bound:
         raise FeasibilityError(defect, bound, context="general factorization")
 
-    measures = f.space.measures
-    u = list(f.coefficients)
-    v = list(g.coefficients)
-    working = []
-    for i, (x, y, z) in enumerate(
-        zip(f.coefficients, g.coefficients, h.coefficients)
-    ):
-        if z == x * y:
-            continue  # u, v already copy x, y
-        working.append(i)
+    u = list(fs)
+    v = list(gs)
+    working = list(compress(range(len(fs)), defects))  # h != fg
     if not working:
         return FactorizationCertificate(
             u=tuple(u), v=tuple(v), radius_u=eps, radius_v=eps
@@ -450,77 +461,75 @@ def factor_general(
     q = conjugate(p)
     p_f, q_f = float(p), (math.inf if q.is_infinite else float(q))
     sub = f.space.subspace(working)
-    f2 = tuple(f.coefficients[i] for i in working)
-    g2 = tuple(g.coefficients[i] for i in working)
-    h2 = tuple(h.coefficients[i] for i in working)
     # The envelope steers the truncation; null atoms are invisible to every
     # integral (and their powers may overflow), so they are zeroed here and
     # land off the core, where the extensions handle them measure-free.
-    live = tuple(f.space.measures[i] > 0 for i in working)
-    saturated = False
-
-    def powered(t, e):
-        nonlocal saturated
-        if t == 0.0:
-            return 0.0
-        val = pow_or_inf(t, e)
-        if val == 0.0 or math.isinf(val):
-            saturated = True
-        return val
-
+    live = list(map(truth, sub.measures))
+    mag_f = list(map(mul, map(abs, compress(fs, defects)), live))
+    mag_h = list(map(mul, map(abs, compress(hs, defects)), live))
+    # Saturation: a power or the tail budget leaves the double range.
     if q.is_infinite:  # p = 1: control |f| and |h| on the core
-        envelope = tuple(
-            max(abs(x), abs(z)) if alive else 0.0
-            for x, z, alive in zip(f2, h2, live)
-        )
+        envelope = list(map(max, mag_f, mag_h))
         tail_budget = min(gamma, gamma * gamma)
+        saturated = False
     else:
-        envelope = tuple(
-            max(powered(abs(x), p_f), powered(abs(y), q_f), abs(z))
-            if alive
-            else 0.0
-            for x, y, z, alive in zip(f2, g2, h2, live)
-        )
-        tail_budget = min(powered(gamma, p_f), powered(gamma, q_f))
-    if tail_budget < 1e-290:
-        saturated = True
-    if saturated:
+        mag_g = list(map(mul, map(abs, compress(gs, defects)), live))
+        try:
+            pow_f = list(map(pow, mag_f, repeat(p_f)))
+            pow_g = list(map(pow, mag_g, repeat(q_f)))
+        except OverflowError:
+            saturated = True
+        else:  # a power that underflowed to 0 adds a zero
+            saturated = (
+                pow_f.count(0.0) != mag_f.count(0.0)
+                or pow_g.count(0.0) != mag_g.count(0.0)
+            )
+            envelope = list(map(max, pow_f, pow_g, mag_h))
+        budgets = (pow_or_inf(gamma, p_f), pow_or_inf(gamma, q_f))
+        saturated = saturated or 0.0 in budgets or INFINITE in budgets
+        tail_budget = min(budgets)
+    if saturated or tail_budget < 1e-290:
         # The exponents push the tail budget or the envelope outside what
         # binary64 can represent; the only truncation whose tails provably
         # cost nothing is the one that keeps every positive-measure atom.
-        core = set(j for j in range(len(working)) if live[j])
+        core = list(compress(range(len(working)), live))
     else:
-        trunc = truncate_support(SimpleFunction(sub, envelope), tail_budget)
-        core = set(trunc.kept_indices)
-    core_atoms = [working[j] for j in sorted(core)]
-    off_atoms = [working[j] for j in range(len(working)) if j not in core]
+        trunc = truncate_support(
+            SimpleFunction._trusted(sub, tuple(envelope)), tail_budget
+        )
+        core = trunc.kept_indices
+    in_core = [False] * len(working)
+    for j in core:
+        in_core[j] = True
+    core_atoms = list(compress(working, in_core))
+    off_atoms = list(compress(working, map(not_, in_core)))
 
     core_space = f.space.subspace(core_atoms)
     inner = factor_bounded(
-        SimpleFunction(core_space, tuple(f.coefficients[i] for i in core_atoms)),
-        SimpleFunction(core_space, tuple(g.coefficients[i] for i in core_atoms)),
-        SimpleFunction(core_space, tuple(h.coefficients[i] for i in core_atoms)),
+        SimpleFunction._trusted(core_space, tuple(map(fs.__getitem__, core_atoms))),
+        SimpleFunction._trusted(core_space, tuple(map(gs.__getitem__, core_atoms))),
+        SimpleFunction._trusted(core_space, tuple(map(hs.__getitem__, core_atoms))),
         p,
         delta,
     )
-    for pos, i in enumerate(core_atoms):
-        u[i] = inner.u[pos]
-        v[i] = inner.v[pos]
+    for i, a, b in zip(core_atoms, inner.u, inner.v):
+        u[i] = a
+        v[i] = b
 
     g_sup = None
     if q.is_infinite:
         g_sup = max(
-            (abs(g.coefficients[i]) for i in off_atoms if measures[i] > 0),
+            (abs(gs[i]) for i in off_atoms if measures[i] > 0),
             default=0.0,
         )
         for i in off_atoms:
-            divisor = snap_to_gamma_grid(g.coefficients[i], gamma, g_sup)
+            divisor = snap_to_gamma_grid(gs[i], gamma, g_sup)
             v[i] = divisor
-            u[i] = h.coefficients[i] / divisor
+            u[i] = hs[i] / divisor
     else:
         inv_p, inv_q = 1.0 / p_f, 1.0 / q_f
         for i in off_atoms:
-            z = h.coefficients[i]
+            z = hs[i]
             t = abs(z)
             u[i] = t**inv_p
             v[i] = math.copysign(t**inv_q, z) if z != 0 else 0.0

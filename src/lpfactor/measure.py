@@ -13,8 +13,11 @@ when finite so that conjugation is an exact involution.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
+from operator import mul, truediv
 from typing import Iterable, Sequence, Union
 
 INFINITE = math.inf
@@ -48,6 +51,10 @@ def pow_or_inf(base: float, expo: float) -> float:
         return INFINITE
 
 
+_NONNEGATIVE = (0.0).__le__  # False for NaN as well as for negatives
+_POSITIVE = (0.0).__lt__
+
+
 # ---------------------------------------------------------------------------
 # Measure spaces
 # ---------------------------------------------------------------------------
@@ -71,23 +78,30 @@ class MeasureSpace:
 
     def __post_init__(self):
         atoms = tuple(self.atoms)
-        measures = tuple(float(m) for m in self.measures)
+        measures = tuple(map(float, self.measures))
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "measures", measures)
         if len(atoms) != len(measures):
             raise ValueError("atom and measure counts differ")
         if len(set(atoms)) != len(atoms):
             raise ValueError("atom identifiers must be unique")
-        for m in measures:
-            if math.isnan(m) or m < 0:
-                raise ValueError(f"atom measure must be >= 0 or INFINITE, got {m!r}")
+        if not all(map(_NONNEGATIVE, measures)):
+            bad = next(m for m in measures if not m >= 0)
+            raise ValueError(f"atom measure must be >= 0 or INFINITE, got {bad!r}")
+
+    @classmethod
+    def _trusted(cls, atoms: tuple, measures: tuple, units: str) -> "MeasureSpace":
+        """Build from parts already known to be valid, skipping validation."""
+        space = object.__new__(cls)
+        space.__dict__.update(atoms=atoms, measures=measures, units=units)
+        return space
 
     def __len__(self) -> int:
         return len(self.atoms)
 
     @classmethod
     def from_measures(cls, measures: Iterable[float]) -> "MeasureSpace":
-        ms = tuple(float(m) for m in measures)
+        ms = tuple(measures)
         return cls(tuple(f"a{i}" for i in range(len(ms))), ms)
 
     @classmethod
@@ -95,19 +109,15 @@ class MeasureSpace:
         """Counting measure on n atoms; turns L_p into the sequence space l_p."""
         return cls.from_measures([1.0] * n)
 
-    def total_measure(self) -> float:
-        if any(math.isinf(m) for m in self.measures):
-            return INFINITE
-        return fsum_or_inf(self.measures)
-
-    def index_of(self, atom_id) -> int:
-        return self.atoms.index(atom_id)
-
     def subspace(self, indices: Sequence[int]) -> "MeasureSpace":
-        """The restriction to a subset of atoms (kept in the original order)."""
-        return MeasureSpace(
-            tuple(self.atoms[i] for i in indices),
-            tuple(self.measures[i] for i in indices),
+        """The restriction to the atoms at the given distinct positions.
+
+        Kept in the order given.  The restriction of a valid space is valid,
+        so the result is built on the trusted path, without re-validation.
+        """
+        return MeasureSpace._trusted(
+            tuple(map(self.atoms.__getitem__, indices)),
+            tuple(map(self.measures.__getitem__, indices)),
             self.units,
         )
 
@@ -133,7 +143,8 @@ class Exponent:
         if isinstance(v, float) and math.isinf(v):
             object.__setattr__(self, "value", INFINITE)
             return
-        v = Fraction(v)
+        if not isinstance(v, Fraction):
+            v = Fraction(v)
         if v < 1:
             raise ValueError(f"exponent must lie in [1, oo], got {v}")
         object.__setattr__(self, "value", v)
@@ -147,7 +158,10 @@ class Exponent:
 
     def reciprocal(self) -> float:
         """1/p as a float, with 1/oo = 0."""
-        return 0.0 if self.is_infinite else float(Fraction(1) / self.value)
+        if self.is_infinite:
+            return 0.0
+        # float(Fraction(1) / p): an int quotient, correctly rounded.
+        return self.value.denominator / self.value.numerator
 
     def conjugate(self) -> "Exponent":
         return conjugate(self)
@@ -158,6 +172,9 @@ class Exponent:
         return float(self.value)
 
 
+_L1 = Exponent(1)
+
+
 def conjugate(p: Union[Exponent, float, int, Fraction]) -> Exponent:
     """The Hoelder conjugate q with 1/p + 1/q = 1.
 
@@ -166,12 +183,19 @@ def conjugate(p: Union[Exponent, float, int, Fraction]) -> Exponent:
     """
     if not isinstance(p, Exponent):
         p = Exponent(p)
-    if p.is_infinite:
-        return Exponent(1)
-    v = p.value
-    if v == 1:
-        return Exponent(INFINITE)
-    return Exponent(v / (v - 1))
+    # Remembered on the instance (outside the dataclass fields), both ways.
+    q = p.__dict__.get("_conjugate")
+    if q is None:
+        v = p.value
+        if p.is_infinite:
+            q = Exponent(1)
+        elif v == 1:
+            q = Exponent(INFINITE)
+        else:
+            q = Exponent(v / (v - 1))
+        p.__dict__["_conjugate"] = q
+        q.__dict__["_conjugate"] = p
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +209,25 @@ class SimpleFunction:
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
+        coeffs = tuple(map(float, self.coefficients))
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != len(self.space):
             raise ValueError(
                 f"{len(coeffs)} coefficients for {len(self.space)} atoms"
             )
-        for c in coeffs:
-            if not math.isfinite(c):
-                raise ValueError(f"coefficients must be finite reals, got {c!r}")
+        if not all(map(math.isfinite, coeffs)):
+            bad = next(c for c in coeffs if not math.isfinite(c))
+            raise ValueError(f"coefficients must be finite reals, got {bad!r}")
+
+    @classmethod
+    def _trusted(cls, space: MeasureSpace, coefficients: tuple) -> "SimpleFunction":
+        """Build from a tuple of finite floats, one per atom, skipping validation."""
+        fn = object.__new__(cls)
+        fn.__dict__.update(space=space, coefficients=coefficients)
+        return fn
 
     def __len__(self) -> int:
         return len(self.coefficients)
-
-    @classmethod
-    def zero(cls, space: MeasureSpace) -> "SimpleFunction":
-        return cls(space, (0.0,) * len(space))
-
-    def replace_coefficients(self, coefficients: Iterable[float]) -> "SimpleFunction":
-        return SimpleFunction(self.space, tuple(coefficients))
 
 
 def _same_space(f: SimpleFunction, g: SimpleFunction) -> None:
@@ -214,9 +238,16 @@ def _same_space(f: SimpleFunction, g: SimpleFunction) -> None:
 def pointwise_product(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
     """The atomwise product fg on the shared space."""
     _same_space(f, g)
-    return SimpleFunction(
-        f.space, tuple(a * b for a, b in zip(f.coefficients, g.coefficients))
-    )
+    return SimpleFunction(f.space, tuple(map(mul, f.coefficients, g.coefficients)))
+
+
+def _positions(values: tuple, value: float) -> list:
+    """The indices at which value occurs, found by C-level scans."""
+    found, i = [], -1
+    for _ in range(values.count(value)):
+        i = values.index(value, i + 1)
+        found.append(i)
+    return found
 
 
 def norm(f: SimpleFunction, p: Union[Exponent, float, int, Fraction]) -> float:
@@ -235,31 +266,49 @@ def norm(f: SimpleFunction, p: Union[Exponent, float, int, Fraction]) -> float:
     coeffs = f.coefficients
     measures = f.space.measures
     if p.is_infinite:
-        best = 0.0
-        for c, m in zip(coeffs, measures):
-            if m > 0 and abs(c) > best:
-                best = abs(c)
-        return best
-    pf = float(p)
-    entries = []
-    scale = 0.0
-    for c, m in zip(coeffs, measures):
-        if c == 0.0 or m == 0.0:
-            continue
-        if math.isinf(m):
+        return max(compress(map(abs, coeffs), map(_POSITIVE, measures)), default=0.0)
+    live = list(map(_POSITIVE, measures))
+    for i in _positions(measures, INFINITE):
+        if coeffs[i] != 0.0:
             return INFINITE
-        t = abs(c)
-        entries.append((t, m))
-        if t > scale:
-            scale = t
-    if not entries:
-        return 0.0
+        live[i] = False  # 0 * INFINITE = 0: the atom drops out
+    mags = list(compress(map(abs, coeffs), live))
+    live_measures = compress(measures, live)
+    pf = float(p)
     if pf == 1.0:
-        return fsum_or_inf(t * m for t, m in entries)
-    total = fsum_or_inf((t / scale) ** pf * m for t, m in entries)
+        return fsum_or_inf(map(mul, mags, live_measures))
+    scale = max(mags, default=0.0)
+    if scale == 0.0:
+        return 0.0
+    ratios = map(truediv, mags, repeat(scale))
+    total = fsum_or_inf(map(mul, map(pow, ratios, repeat(pf)), live_measures))
     if math.isinf(total):
         return INFINITE
     return scale * total ** (1.0 / pf)
+
+
+# Bounds below this leave a margin of 2^24 to the largest double, far more
+# than the few roundings between a bound and the norm it dominates.
+_SAFE_BOUND = 2.0**1000
+
+
+def norm_is_finite(f: SimpleFunction, p: Exponent) -> bool:
+    """Whether ``norm(f, p)`` is finite, usually without computing it.
+
+    ``||f||_p^p <= max|a_n|^p * mu(supp f)``: when that bound sits well
+    inside binary64 the norm is finite, which takes three C-level passes.
+    Only when the bound fails (an INFINITE atom in the support, or
+    magnitudes near the double range) is the norm itself computed, so the
+    verdict is always exactly ``not isinf(norm(f, p))``.
+    """
+    if p.is_infinite:
+        return True  # the largest of finitely many finite coefficients
+    coeffs = f.coefficients
+    top = max(map(abs, coeffs), default=0.0)
+    support = fsum_or_inf(compress(f.space.measures, coeffs))
+    if pow_or_inf(top, float(p)) * support < _SAFE_BOUND:
+        return True
+    return not math.isinf(norm(f, p))
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +337,17 @@ class TruncationResult:
 def _entry_level(t: float) -> int:
     """The smallest integer k >= 1 with 1/k <= t <= k, for t > 0.
 
-    Exact: ceil on a float is exact, and for t < 1 the reciprocal is taken
-    in rational arithmetic, so the answer never suffers from rounding and
-    never needs a correction walk (whose step count would be unbounded at
-    extreme magnitudes).
+    Exact: ceil on a float is exact, and for t < 1 the reciprocal is the
+    ceiling of an integer quotient, so the answer never suffers from
+    rounding and never needs a correction walk (whose step count would be
+    unbounded at extreme magnitudes).
     """
     if t >= 1.0:
         # 1/k <= 1 <= t holds for every k; only t <= k binds.
-        return max(1, math.ceil(t))
+        return math.ceil(t)
     # t <= k holds for every k >= 1; only 1/k <= t, i.e. k >= 1/t, binds.
-    return math.ceil(Fraction(1) / Fraction(t))
+    num, den = t.as_integer_ratio()
+    return -(-den // num)
 
 
 def truncate_support(f: SimpleFunction, eps: float) -> TruncationResult:
@@ -309,39 +359,34 @@ def truncate_support(f: SimpleFunction, eps: float) -> TruncationResult:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if math.isinf(norm(f, 1)):
+    if not norm_is_finite(f, _L1):
         raise ValueError("truncation requires a function with finite 1-norm")
     coeffs = f.coefficients
-    measures = f.space.measures
-    # Atoms with |f| = 0 never satisfy 1/k <= |f| and never contribute tail.
-    levels = []  # (entry level, index, |f| * mu contribution)
-    for i, (c, m) in enumerate(zip(coeffs, measures)):
-        t = abs(c)
-        if t == 0.0:
-            continue
-        levels.append((_entry_level(t), i, t * m if m > 0 else 0.0))
-    levels.sort(key=lambda item: item[0])
+    # Atoms with |f| = 0 never satisfy 1/k <= |f| and never contribute tail;
+    # a finite 1-norm keeps every other atom's |f| mu finite.
+    support = list(compress(range(len(coeffs)), coeffs))
+    mags = list(map(abs, compress(coeffs, coeffs)))
+    shares = list(map(mul, mags, compress(f.space.measures, coeffs)))
+    entry = list(map(_entry_level, mags))
+    order = sorted(range(len(entry)), key=entry.__getitem__)
+    levels = list(map(entry.__getitem__, order))
 
-    # tail(k) drops only when k passes an entry level; scan candidates upward.
-    n = len(levels)
-    suffix = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + levels[i][2]
+    # suffix[i] is the tail left once the first i atoms (by level) are kept,
+    # summed from the end.
+    tail_order = reversed(list(map(shares.__getitem__, order)))
+    suffix = list(accumulate(tail_order, initial=0.0))
+    suffix.reverse()
 
     # k* is 1 if even tail(1) is small enough, otherwise the first entry
     # level whose inclusion brings the tail below eps.  tail(k) only drops
     # when k passes an entry level, so those are the only candidates.
+    n = len(levels)
     chosen = 1
-    i = 0
-    while i < n and levels[i][0] == 1:
-        i += 1
-    kept_upto = i
+    i = kept_upto = bisect_right(levels, 1)
     if suffix[i] >= eps:
         while i < n:
-            level = levels[i][0]
-            j = i
-            while j < n and levels[j][0] == level:
-                j += 1
+            level = levels[i]
+            j = bisect_right(levels, level, i)
             if suffix[j] < eps:
                 chosen, kept_upto = level, j
                 break
@@ -349,13 +394,11 @@ def truncate_support(f: SimpleFunction, eps: float) -> TruncationResult:
         else:
             # Unreachable: the tail after the last entry level is 0 < eps.
             raise AssertionError("no truncation level found")
-    kept = sorted(levels[i][1] for i in range(kept_upto))
-    tail = suffix[kept_upto]
-    sup_on_a = max((abs(coeffs[i]) for i in kept), default=0.0)
+    kept = sorted(map(support.__getitem__, order[:kept_upto]))
     return TruncationResult(
-        kept_atoms=tuple(f.space.atoms[i] for i in kept),
+        kept_atoms=tuple(map(f.space.atoms.__getitem__, kept)),
         kept_indices=tuple(kept),
-        tail_value=tail,
-        sup_on_A=sup_on_a,
+        tail_value=suffix[kept_upto],
+        sup_on_A=max(map(abs, map(coeffs.__getitem__, kept)), default=0.0),
         level=chosen,
     )

@@ -62,6 +62,27 @@ def _scaled_sqrt(mag: float, num: float, den: float) -> float:
         return math.inf
 
 
+def _split(x: float, y: float, r: float, R: float, z: float):
+    """The kernel on bare floats: (u, v, case), or None if |z - xy| < rR/4 fails.
+
+    Allocates nothing beyond the result, so per-atom loops call it directly.
+    """
+    if not abs(z - x * y) < r * R / 4.0:
+        return None
+    if abs(x) > r / 4.0:
+        return x, z / x, 1
+    if abs(y) > R / 4.0:
+        return z / y, y, 2
+    mag = abs(z)
+    u = _scaled_sqrt(mag, r, R)
+    v = _scaled_sqrt(mag, R, r)
+    if z < 0:
+        v = -v
+    elif z == 0:
+        v = 0.0  # sgn 0 = 0, so the pair is (0, 0)
+    return u, v, 3
+
+
 def factor_scalar(box: ScalarBox, z: float) -> ScalarFactorPair:
     """Split z into u * v near (box.x, box.y).
 
@@ -70,19 +91,9 @@ def factor_scalar(box: ScalarBox, z: float) -> ScalarFactorPair:
     |v - y| < R.
     """
     x, y, r, R = box.x, box.y, box.r, box.R
-    defect = abs(z - x * y)
-    bound = r * R / 4.0
-    if not defect < bound:
-        raise FeasibilityError(defect, bound, context="scalar factorization")
-    if abs(x) > r / 4.0:
-        return ScalarFactorPair(x, z / x, 1)
-    if abs(y) > R / 4.0:
-        return ScalarFactorPair(z / y, y, 2)
-    mag = abs(z)
-    u = _scaled_sqrt(mag, r, R)
-    v = _scaled_sqrt(mag, R, r)
-    if z < 0:
-        v = -v
-    elif z == 0:
-        v = 0.0  # sgn 0 = 0, so the pair is (0, 0)
-    return ScalarFactorPair(u, v, 3)
+    pair = _split(x, y, r, R, z)
+    if pair is None:
+        raise FeasibilityError(
+            abs(z - x * y), r * R / 4.0, context="scalar factorization"
+        )
+    return ScalarFactorPair(*pair)

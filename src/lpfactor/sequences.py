@@ -94,7 +94,7 @@ def seq_split(
     bound = eps * eps / 16.0
     if not defect < bound:
         raise FeasibilityError(defect, bound, context="sequence factorization")
-    agree = frozenset(i for i in range(len(xs)) if i not in set(working))
+    agree = frozenset(i for i, d in enumerate(diffs) if d == 0.0)
     if not working:
         return AgreementSplit(agree, 0.0, {}, {}, scheme="seq-finite")
 

@@ -1,9 +1,10 @@
 """Norms, conjugation, products and support truncation."""
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpfactor import (
@@ -16,10 +17,46 @@ from lpfactor import (
     pointwise_product,
     truncate_support,
 )
+from lpfactor.measure import _entry_level, norm_is_finite
 
 
 def sf(measures, coeffs):
     return SimpleFunction(MeasureSpace.from_measures(measures), tuple(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# constructor validation
+# ---------------------------------------------------------------------------
+class TestValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coefficient_is_named(self, bad):
+        space = MeasureSpace.from_measures([1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
+            SimpleFunction(space, (1.0, bad, 2.0))
+
+    def test_first_offending_coefficient_is_named(self):
+        space = MeasureSpace.from_measures([1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="got -inf$"):
+            SimpleFunction(space, (0.0, -math.inf, math.nan))
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, -math.inf])
+    def test_negative_or_nan_measure_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
+            MeasureSpace.from_measures([1.0, INFINITE, bad, 2.0])
+
+    def test_first_offending_measure_is_named(self):
+        with pytest.raises(ValueError, match="got nan$"):
+            MeasureSpace.from_measures([0.0, math.nan, -1.0])
+
+    def test_zero_and_infinite_measures_are_valid(self):
+        space = MeasureSpace.from_measures([0.0, -0.0, INFINITE])
+        assert space.measures == (0.0, 0.0, INFINITE)
+
+    def test_subspace_equals_validated_construction(self):
+        space = MeasureSpace(("x", "y", "z"), (1.0, INFINITE, 0.5), "cm")
+        sub = space.subspace([0, 2])
+        assert sub == MeasureSpace(("x", "z"), (1.0, 0.5), "cm")
+        assert hash(sub) == hash(MeasureSpace(("x", "z"), (1.0, 0.5), "cm"))
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +250,45 @@ class TestTruncateSupport:
         assert res.level == 2**40
 
 
+def _entry_level_reference(t):
+    """The entry level in rational arithmetic: max(1, ceil(t), ceil(1/t))."""
+    if t >= 1.0:
+        return max(1, math.ceil(t))
+    return math.ceil(Fraction(1) / Fraction(t))
+
+
+def _near_reciprocals(k):
+    """1/k and its two neighbouring doubles, for an integer k >= 2."""
+    t = 1.0 / k
+    return [math.nextafter(t, 0.0), t, math.nextafter(t, 1.0)]
+
+
+_entry_values = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    st.integers(1, 2**52 - 1).map(lambda m: m * 5e-324),  # subnormals
+    st.floats(min_value=2.0**53, max_value=1.7976931348623157e308),
+    st.integers(2, 2**64).flatmap(lambda k: st.sampled_from(_near_reciprocals(k))),
+)
+
+
+@given(t=_entry_values)
+@example(t=5e-324)
+@example(t=math.nextafter(1.0, 0.0))
+@example(t=1.0)
+@example(t=2.0**53)
+@example(t=math.nextafter(2.0**53, math.inf))
+@example(t=1.7976931348623157e308)
+@example(t=1.0 / 3.0)
+@example(t=math.nextafter(1.0 / 3.0, 1.0))
+@settings(max_examples=500)
+def test_entry_level_is_exact(t):
+    k = _entry_level(t)
+    assert k == _entry_level_reference(t)
+    # k is the least integer with 1/k <= t <= k, checked in rationals.
+    assert Fraction(1, k) <= Fraction(t) <= k
+    assert k == 1 or not (Fraction(1, k - 1) <= Fraction(t) <= k - 1)
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------
@@ -282,3 +358,63 @@ def test_esssup_blind_to_null_atoms(fg, bump):
     coeffs = list(f.coefficients)
     coeffs[nulls[0]] = bump
     assert norm(SimpleFunction(f.space, tuple(coeffs)), INFINITE) == before
+
+
+def _norm_reference(coeffs, measures, p):
+    """The atom-by-atom loop norm, as the vectorized one must reproduce it."""
+    if math.isinf(p):
+        return max((abs(c) for c, m in zip(coeffs, measures) if m > 0), default=0.0)
+    entries = []
+    for c, m in zip(coeffs, measures):
+        if c == 0.0 or m == 0.0:
+            continue
+        if math.isinf(m):
+            return INFINITE
+        entries.append((abs(c), m))
+    if not entries:
+        return 0.0
+    if p == 1:
+        try:
+            return math.fsum(t * m for t, m in entries)
+        except OverflowError:
+            return INFINITE
+    scale = max(t for t, _ in entries)
+    try:
+        total = math.fsum((t / scale) ** p * m for t, m in entries)
+    except OverflowError:
+        return INFINITE
+    if math.isinf(total):
+        return INFINITE
+    return scale * total ** (1.0 / p)
+
+
+_wide = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-1.7976931348623157e308, max_value=1.7976931348623157e308),
+)
+_wide_measure = st.one_of(
+    st.just(0.0),
+    st.just(INFINITE),
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+)
+
+
+@st.composite
+def wide_function(draw, max_atoms=8):
+    n = draw(st.integers(1, max_atoms))
+    measures = draw(st.lists(_wide_measure, min_size=n, max_size=n))
+    coeffs = draw(st.lists(_wide, min_size=n, max_size=n))
+    return sf(measures, coeffs)
+
+
+@given(f=wide_function(), p=st.sampled_from([1, 1.5, 2, 3, 7, INFINITE]))
+@settings(max_examples=500)
+def test_norm_matches_loop_reference_bit_for_bit(f, p):
+    assert norm(f, p) == _norm_reference(f.coefficients, f.space.measures, float(p))
+
+
+@given(f=wide_function(), p=st.sampled_from([1, 1.5, 2, 3, 7, INFINITE]))
+@settings(max_examples=500)
+def test_norm_is_finite_agrees_with_norm(f, p):
+    p = Exponent(p)
+    assert norm_is_finite(f, p) == (not math.isinf(norm(f, p)))
