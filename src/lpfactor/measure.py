@@ -183,19 +183,12 @@ def conjugate(p: Union[Exponent, float, int, Fraction]) -> Exponent:
     """
     if not isinstance(p, Exponent):
         p = Exponent(p)
-    # Remembered on the instance (outside the dataclass fields), both ways.
-    q = p.__dict__.get("_conjugate")
-    if q is None:
-        v = p.value
-        if p.is_infinite:
-            q = Exponent(1)
-        elif v == 1:
-            q = Exponent(INFINITE)
-        else:
-            q = Exponent(v / (v - 1))
-        p.__dict__["_conjugate"] = q
-        q.__dict__["_conjugate"] = p
-    return q
+    if p.is_infinite:
+        return Exponent(1)
+    v = p.value
+    if v == 1:
+        return Exponent(INFINITE)
+    return Exponent(v / (v - 1))
 
 
 # ---------------------------------------------------------------------------
