@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import and_, mul, not_, sub, truediv, truth
+from itertools import compress
+from operator import and_, mul, not_, sub, truth
 from typing import Union
 
 from .certificates import FactorizationCertificate
@@ -128,23 +128,20 @@ def agreement_split(
     eta_scale = max(eta, len(working) * 5e-324)
     inv_p = p.reciprocal()
     inv_q = conjugate(p).reciprocal()
-    if eta > 0:
-        lambdas = map(truediv, map(mul, shares, weights), repeat(eta))
-    else:
-        lambdas = repeat(0.0, len(working))
-    ratios = list(map(truediv, shares, repeat(eta_scale)))
-    if inv_q == 0.0:  # p = 1: r_k = lambda_k eps / mu(A_k), R_k = eps
-        radii = zip(map(mul, repeat(eps), ratios), repeat(eps))
-    else:
-        radii = zip(
-            map(mul, repeat(eps), map(pow, ratios, repeat(inv_p))),
-            map(mul, repeat(eps), map(pow, ratios, repeat(inv_q))),
-        )
+    lambdas = {}
+    radii = {}
+    for i, d, mu in zip(working, shares, weights):
+        lambdas[i] = d * mu / eta if eta > 0 else 0.0
+        ratio = d / eta_scale
+        if inv_q == 0.0:  # p = 1: r_k = lambda_k eps / mu(A_k), R_k = eps
+            radii[i] = (eps * ratio, eps)
+        else:
+            radii[i] = (eps * ratio**inv_p, eps * ratio**inv_q)
     return AgreementSplit(
         agree=frozenset(compress(range(len(defects)), map(not_, outside))),
         eta=eta,
-        lambdas=dict(zip(working, lambdas)),
-        radii=dict(zip(working, radii)),
+        lambdas=lambdas,
+        radii=radii,
         scheme="lemma2",
     )
 
