@@ -58,6 +58,21 @@ _POSITIVE = (0.0).__lt__
 # ---------------------------------------------------------------------------
 # Measure spaces
 # ---------------------------------------------------------------------------
+# "a0", "a1", ... up to the largest space from_measures has built; every
+# space slices it, so the default atom names exist once per process rather
+# than once per space.
+_ATOM_NAMES: tuple = ()
+
+
+def _atom_names(n: int) -> tuple:
+    global _ATOM_NAMES
+    names = _ATOM_NAMES
+    if len(names) < n:
+        names = names + tuple(f"a{i}" for i in range(len(names), n))
+        _ATOM_NAMES = names
+    return names[:n]
+
+
 @dataclass(frozen=True)
 class MeasureSpace:
     """A finite atomic measure space.
@@ -101,8 +116,9 @@ class MeasureSpace:
 
     @classmethod
     def from_measures(cls, measures: Iterable[float]) -> "MeasureSpace":
+        """A space with atoms "a0", "a1", ... carrying the given measures."""
         ms = tuple(measures)
-        return cls(tuple(f"a{i}" for i in range(len(ms))), ms)
+        return cls(_atom_names(len(ms)), ms)
 
     @classmethod
     def counting(cls, n: int) -> "MeasureSpace":
