@@ -2,20 +2,15 @@
 
 Each criterion is a standalone runner returning a CriterionResult; the
 ``sweep`` CLI subcommand and the pytest acceptance module both call these.
-All randomness is seeded, so reruns are reproducible.  The environment
-variable LPFACTOR_THREADS (default 1) caps how many worker threads the
-instance loops may use; aggregation is order-insensitive (counts and
-maxima only).
+All randomness is seeded, so reruns are reproducible.
 """
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from .certificates import FactorizationCertificate
 from .errors import FeasibilityError
@@ -60,24 +55,6 @@ class CriterionResult:
             "failures": self.failures,
             "total": self.total,
         }
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("LPFACTOR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_instances(fn: Callable[[int], int], indices: Iterable[int]) -> int:
-    """Run fn over indices, possibly on threads; returns the failure total."""
-    workers = _thread_count()
-    indices = list(indices)
-    if workers == 1:
-        return sum(fn(i) for i in indices)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(fn, indices))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +144,7 @@ def criterion_2(
         )
         return 0 if _lp_round_trip(spec) else 1
 
-    failures = _map_instances(one, range(total))
+    failures = sum(map(one, range(total)))
     seconds = time.perf_counter() - start
     limit_ok = seconds < 60.0 if not scaled else True
     passed = failures == 0 and limit_ok
@@ -217,7 +194,7 @@ def criterion_3(seed: int = BASE_SEED, count: int = 10000) -> CriterionResult:
         return bad
 
     total = count * 2
-    failures = _map_instances(one, range(count))
+    failures = sum(map(one, range(count)))
     seconds = time.perf_counter() - start
     return CriterionResult(
         3,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import mul, sub
 from typing import Union
 
 from .measure import INFINITE, Exponent, MeasureSpace, SimpleFunction, fsum_or_inf
@@ -125,9 +126,9 @@ class SeqInstance:
     kind = "seq"
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(c) for c in self.x))
-        object.__setattr__(self, "y", tuple(float(c) for c in self.y))
-        object.__setattr__(self, "z", tuple(float(c) for c in self.z))
+        object.__setattr__(self, "x", tuple(map(float, self.x)))
+        object.__setattr__(self, "y", tuple(map(float, self.y)))
+        object.__setattr__(self, "z", tuple(map(float, self.z)))
 
     def padded(self) -> tuple:
         n = max(len(self.x), len(self.y), len(self.z))
@@ -136,7 +137,7 @@ class SeqInstance:
 
     def defect(self) -> float:
         x, y, z = self.padded()
-        return fsum_or_inf(abs(c - a * b) for a, b, c in zip(x, y, z))
+        return fsum_or_inf(map(abs, map(sub, z, map(mul, x, y))))
 
     def feasibility_bound(self) -> float:
         return self.eps * self.eps / 16.0

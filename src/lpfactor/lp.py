@@ -238,19 +238,10 @@ def quantize_geometric(
             continue
         j = max(1, ceil(s))
         dj = d_f**j
-        guard = 0
-        while m * dj > t:
-            j += 1
+        if m * dj > t or (j > 1 and m * d_f ** (j - 1) <= t):
+            # The estimate missed the least level k with m d^k <= t.
+            j = _grid_level(t, m, d_f, j)
             dj = d_f**j
-            guard += 1
-            if guard > 10000:
-                raise AssertionError("geometric bracket search did not settle")
-        while j > 1:
-            below = d_f ** (j - 1)
-            if m * below > t:
-                break
-            j -= 1
-            dj = below
         val = m * dj
         if val <= 0.0:
             # d^j underflowed on its own even though the level itself is
@@ -265,6 +256,38 @@ def quantize_geometric(
         push(copysign(val, c))
     # Every value is h's own or a grid level of magnitude at most m: finite.
     return SimpleFunction._trusted(h.space, tuple(out))
+
+
+def _grid_level(t: float, m: float, d: float, j: int) -> int:
+    """The least level k >= 1 with m d^k <= t, searched from a guess j.
+
+    Gallops away from j, then bisects, so the number of steps is
+    logarithmic in the miss; m d^k does not grow with k, so the level found
+    is the least one.
+    """
+
+    def settled(k):
+        return m * d**k <= t
+
+    step = 1
+    if settled(j):
+        hi, lo = j, j - 1
+        while lo >= 1 and settled(lo):
+            hi, step = lo, 2 * step
+            lo = j - step
+        lo = max(lo, 0)  # level 0 is never taken
+    else:
+        lo, hi = j, j + 1
+        while not settled(hi):  # settles: d^k reaches 0 as k grows
+            lo, step = hi, 2 * step
+            hi = j + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if settled(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def snap_to_gamma_grid(value: float, gamma: float, cap: float) -> float:

@@ -12,18 +12,27 @@ schemes are implemented:
           disagreement set, runnable here on any finite prefix.
 
 AUTO resolves to FINITE, which gives the sharper flat sup bound eps/2.
+
+The inputs are padded once; defects, weights and radii are built in C-level
+passes, and the per-index loop runs on bare floats: it calls
+``scalar._split`` directly, without a ``ScalarBox`` or ``ScalarFactorPair``
+per index.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate, compress, repeat
+from operator import ge, mul, sub, truediv
 from typing import Iterable, Sequence
 
 from .certificates import FactorizationCertificate
 from .measure import fsum_or_inf
 from .countable import AgreementSplit
 from .errors import FeasibilityError
-from .scalar import ScalarBox, factor_scalar
+from .scalar import _split
+from .scalar import factor_scalar  # noqa: F401  (traced here by bench/spans.py)
 
 __all__ = ["TailWeights", "tail_weights", "seq_split", "factor_seq", "STRATEGIES"]
 
@@ -43,24 +52,21 @@ class TailWeights:
     w: tuple
 
     def weighted_sum(self) -> float:
-        return fsum_or_inf(
-            an / wn for an, wn in zip(self.a, self.w) if an != 0.0
-        )
+        a = self.a
+        return fsum_or_inf(map(truediv, compress(a, a), compress(self.w, a)))
 
 
 def tail_weights(a: Iterable[float]) -> TailWeights:
     """Square-root tail weights of a nonnegative sequence with a positive entry."""
-    a = tuple(float(x) for x in a)
-    if any(x < 0 or math.isnan(x) for x in a):
+    a = tuple(map(float, a))
+    if not all(map(ge, a, repeat(0.0))):  # x >= 0 fails for NaN too
         raise ValueError("tail weights require nonnegative entries")
-    if not any(x > 0 for x in a):
+    if not any(a):
         raise ValueError("tail weights are undefined for the all-zero sequence")
-    w = [0.0] * len(a)
-    running = 0.0
-    for i in range(len(a) - 1, -1, -1):
-        running += a[i]
-        w[i] = math.sqrt(running)
-    tw = TailWeights(a=a, w=tuple(w))
+    # Tail sums; starting from 0.0 adds a[-1] to 0.0 as a running sum does,
+    # which turns a trailing -0.0 into 0.0.
+    tails = list(accumulate(reversed(a), initial=0.0))[:0:-1]
+    tw = TailWeights(a=a, w=tuple(map(math.sqrt, tails)))
     if not tw.weighted_sum() <= 2.0 * tw.w[0] * (1.0 + 1e-12):
         raise AssertionError("tail-weight bound failed; nonnegativity violated?")
     return tw
@@ -68,8 +74,44 @@ def tail_weights(a: Iterable[float]) -> TailWeights:
 
 def _pad(x: Sequence[float], y: Sequence[float], z: Sequence[float]):
     n = max(len(x), len(y), len(z))
-    pad = lambda s: tuple(float(c) for c in s) + (0.0,) * (n - len(s))
+    pad = lambda s: tuple(map(float, s)) + (0.0,) * (n - len(s))
     return pad(x), pad(y), pad(z)
+
+
+def _padded_split(x, y, z, eps, strategy):
+    """Validate, pad once and split; see ``seq_split``.
+
+    Returns the padded inputs, the working indices (those with a nonzero
+    defect), eta, the scheme name, and lambda_k, r_k and R_k along the
+    working indices, the radii as iterators.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}")
+    if eps <= 0 or math.isinf(eps):
+        raise ValueError("eps must be positive and finite")
+    xs, ys, zs = padded = _pad(x, y, z)
+    diffs = tuple(map(abs, map(sub, zs, map(mul, xs, ys))))
+    # Zero terms leave an exact sum unchanged.
+    defect = fsum_or_inf(diffs)
+    bound = eps * eps / 16.0
+    if not defect < bound:
+        raise FeasibilityError(defect, bound, context="sequence factorization")
+    working = list(compress(range(len(diffs)), diffs))
+    if not working:
+        return padded, working, 0.0, "seq-finite", [], (), ()
+
+    shares = list(compress(diffs, diffs))
+    if strategy in ("auto", "finite"):
+        eta = defect
+        lambdas = list(map(truediv, shares, repeat(eta)))
+        rs = map(truediv, map(mul, lambdas, repeat(eps)), repeat(2.0))
+        return padded, working, eta, "seq-finite", lambdas, rs, repeat(eps / 2.0)
+    weights = tail_weights(diffs)
+    eta = 2.0 * weights.w[0]
+    ws = list(compress(weights.w, diffs))
+    lambdas = list(map(truediv, shares, map(mul, repeat(eta), ws)))
+    rs = map(mul, lambdas, repeat(eps))
+    return padded, working, eta, "seq-tail", lambdas, rs, map(mul, repeat(2.0), ws)
 
 
 def seq_split(
@@ -83,32 +125,16 @@ def seq_split(
 
     Raises FeasibilityError unless the l1 defect is strictly below eps^2/16.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    xs, ys, zs = _pad(x, y, z)
-    diffs = tuple(abs(c - a * b) for a, b, c in zip(xs, ys, zs))
-    working = [i for i, d in enumerate(diffs) if d != 0.0]
-    defect = fsum_or_inf(diffs[i] for i in working)
-    bound = eps * eps / 16.0
-    if not defect < bound:
-        raise FeasibilityError(defect, bound, context="sequence factorization")
-    agree = frozenset(i for i, d in enumerate(diffs) if d == 0.0)
-    if not working:
-        return AgreementSplit(agree, 0.0, {}, {}, scheme="seq-finite")
-
-    if strategy in ("auto", "finite"):
-        eta = defect
-        lambdas = {i: diffs[i] / eta for i in working}
-        radii = {i: (lambdas[i] * eps / 2.0, eps / 2.0) for i in working}
-        return AgreementSplit(agree, eta, lambdas, radii, scheme="seq-finite")
-
-    weights = tail_weights(diffs)
-    eta = 2.0 * weights.w[0]
-    lambdas = {i: diffs[i] / (eta * weights.w[i]) for i in working}
-    radii = {i: (lambdas[i] * eps, 2.0 * weights.w[i]) for i in working}
-    return AgreementSplit(agree, eta, lambdas, radii, scheme="seq-tail")
+    (xs, _, _), working, eta, scheme, lambdas, rs, big_rs = _padded_split(
+        x, y, z, eps, strategy
+    )
+    return AgreementSplit(
+        agree=frozenset(range(len(xs))).difference(working),
+        eta=eta,
+        lambdas=dict(zip(working, lambdas)),
+        radii=dict(zip(working, zip(rs, big_rs))),
+        scheme=scheme,
+    )
 
 
 def factor_seq(
@@ -126,29 +152,63 @@ def factor_seq(
     scheme below its shrinking radii whose first value is the defect root
     eta = 2 ||z - xy||_1^(1/2).
     """
-    split = seq_split(x, y, z, eps, strategy)
-    xs, ys, zs = _pad(x, y, z)
+    (xs, ys, zs), working, eta, scheme, _, rs, big_rs = _padded_split(
+        x, y, z, eps, strategy
+    )
     u = list(xs)
     v = list(ys)
-    for i, (r, big_r) in split.radii.items():
+    for i, r, big_r in zip(working, rs, big_rs):
+        xi, yi, zi = xs[i], ys[i], zs[i]
         if r > 0 and big_r > 0:
-            try:
-                pair = factor_scalar(ScalarBox(xs[i], ys[i], r, big_r), zs[i])
-                u[i], v[i] = pair.u, pair.v
+            pair = _split(xi, yi, r, big_r, zi)
+            if pair is not None:
+                u[i], v[i], _ = pair
                 continue
-            except FeasibilityError:
-                pass
-        # Rounding starved an index whose budget holds analytically (the
-        # weight underflowed, or the strict bound flipped by one ulp);
-        # fall back to exact division when the base point allows it.
-        if xs[i] != 0.0:
-            u[i], v[i] = xs[i], zs[i] / xs[i]
-        else:
-            raise FeasibilityError(
-                abs(zs[i] - xs[i] * ys[i]),
-                r * big_r / 4.0,
-                context=f"sequence index {i}",
-            )
+        # Rounding starved an index whose budget holds analytically: r_k
+        # underflowed, or the strict bound flipped by one ulp.
+        d = Fraction(abs(zi - xi * yi))
+        if scheme == "seq-finite":  # r_k = d_k / eta * eps / 2
+            exact_r = d * Fraction(eps) / (2 * Fraction(eta))
+        else:  # r_k = d_k / (eta w_k) * eps, with w_k = R_k / 2
+            exact_r = 2 * d * Fraction(eps) / (Fraction(eta) * Fraction(big_r))
+        u[i], v[i] = _starved_pair(xi, yi, zi, exact_r, big_r, i)
     return FactorizationCertificate(
         u=tuple(u), v=tuple(v), radius_u=eps, radius_v=eps
     )
+
+
+def _starved_pair(x: float, y: float, z: float, r: Fraction, big_r: float, i: int):
+    """An exact split for an index whose float radii starved the kernel.
+
+    r is the exact r_k, which need not be a double.  The candidates are
+    exact division by x, then by y, then the balanced split of the radii
+    (u from logarithms, v = z / u); the first that meets |u - x| < r_k and
+    |v - y| < R_k, checked exactly, is returned.  Raises FeasibilityError
+    when none does.
+    """
+    big = Fraction(big_r)
+    candidates = []
+    if x != 0.0:
+        candidates.append((x, z / x))
+    if y != 0.0:
+        candidates.append((z / y, y))
+    ratio = Fraction(abs(z)) * r / big
+    if ratio > 0:
+        log_u = (math.log(ratio.numerator) - math.log(ratio.denominator)) / 2.0
+        try:
+            u = math.exp(log_u)
+        except OverflowError:  # then u exceeds r_k too
+            u = 0.0
+        if u > 0.0:
+            candidates.append((u, z / u))
+    for u, v in candidates:
+        if _closer(u, x, r) and _closer(v, y, big):
+            return u, v
+    raise FeasibilityError(
+        abs(z - x * y), float(r * big / 4), context=f"sequence index {i}"
+    )
+
+
+def _closer(a: float, b: float, radius: Fraction) -> bool:
+    """|a - b| < radius, exactly."""
+    return math.isfinite(a) and abs(Fraction(a) - Fraction(b)) < radius

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Union
 
 from .certificates import FactorizationCertificate
@@ -97,8 +98,8 @@ def _verify_seq(instance: SeqInstance, certificate: FactorizationCertificate):
     xs, ys, zs = ext(xs), ext(ys), ext(zs)
     cu, cv = ext(certificate.u), ext(certificate.v)
     prod_err = _product_error(cu, cv, zs)
-    dist_u = fsum_or_inf(abs(a - b) for a, b in zip(cu, xs))
-    dist_v = max((abs(a - b) for a, b in zip(cv, ys)), default=0.0)
+    dist_u = fsum_or_inf(map(abs, map(sub, cu, xs)))
+    dist_v = max(map(abs, map(sub, cv, ys)), default=0.0)
     return prod_err, dist_u, dist_v
 
 

@@ -59,11 +59,3 @@ def test_criterion_7_verifier_independence():
     result = _run(7)
     assert result.failures == 0
     assert result.passed
-
-
-def test_thread_cap_changes_nothing(monkeypatch):
-    serial = acceptance.criterion_2(per_p=40)
-    monkeypatch.setenv("LPFACTOR_THREADS", "4")
-    threaded = acceptance.criterion_2(per_p=40)
-    assert serial.failures == threaded.failures == 0
-    assert serial.total == threaded.total

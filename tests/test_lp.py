@@ -1,10 +1,14 @@
 """Parameter selection, quantization and the bounded/general pipelines."""
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lpfactor
 from lpfactor import (
     INFINITE,
     Exponent,
@@ -174,6 +178,42 @@ class TestQuantizeGeometric:
         h = SimpleFunction(MeasureSpace.counting(2), (0.123, -7.5))
         d = 1 - Fraction(1, 10**30)
         assert quantize_geometric(h, d, 10.0).coefficients == h.coefficients
+
+    def test_bracket_search_far_from_the_estimate_settles(self):
+        # The estimate from logarithms falls more than 10^4 levels short of
+        # the first level with m * d^j <= |h|, where d^j is subnormal; the
+        # search gallops up to it.
+        h = SimpleFunction(MeasureSpace.counting(2), (2.2e-308, -2.2e-308))
+        a, b = quantize_geometric(h, 0.9999999999928164, 4565630326465358.0).coefficients
+        assert 0.0 < a < 4565630326465358.0
+        assert b == -a
+
+    def test_underflowed_levels_settle_in_bounded_time(self):
+        # At p = 1 this instance reaches the quantizer with d = 1 - 7e-9 and
+        # |h| = 5e-324, where d^j has underflowed about 10^9 levels above the
+        # level sought, so a walk of one level at a time runs for minutes.
+        # The child process puts a hard limit on the wait.
+        code = (
+            "from lpfactor import *\n"
+            "space = MeasureSpace.from_measures([1.0, 1e3])\n"
+            "f = SimpleFunction(space, (1.0, 1e-3))\n"
+            "g = SimpleFunction(space, (0.0, 1e-3))\n"
+            "h = SimpleFunction(space, (5e-324, 1e-6 + 1e-9))\n"
+            "try:\n"
+            "    cert = factor_general(f, g, h, 1, 1.0)\n"
+            "except FeasibilityError:\n"
+            "    print('refused')\n"
+            "else:\n"
+            "    instance = LpInstance(f, g, h, Exponent(1), 1.0)\n"
+            "    print(verify_certificate(instance, cert).verdict)\n"
+        )
+        src = os.path.dirname(os.path.dirname(lpfactor.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() in ("pass", "refused")
 
 
 class TestGammaGrid:

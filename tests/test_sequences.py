@@ -104,6 +104,36 @@ class TestExamples:
         with pytest.raises(ValueError):
             factor_seq((1,), (1,), (1.01,), 1.0, "greedy")
 
+    def test_infinite_eps_rejected(self):
+        # every radius would be infinite, and the kernel's balanced split NaN
+        with pytest.raises(ValueError):
+            factor_seq((1,), (1,), (1.05,), math.inf)
+
+    @pytest.mark.parametrize("strategy", ["finite", "tail"])
+    @pytest.mark.parametrize(
+        "x, y, z, eps",
+        [
+            # x_1 = y_1 = 0: the tail radii multiply out to 1e-323 in floats,
+            # no more than the defect, so the kernel refuses the index.
+            ((1.0, 0.0), (0.0, 0.0), (1.0, 1e-323), 5.0),
+            # lambda_1 = d_1 / eta underflows to 0 although r_1 = 5e-292;
+            # exact division by the subnormal x_1 would put v_1 near 5e142.
+            ((1.0, 2e-323), (0.0, -1.75), (1e224, -1e-180), 1e113),
+            # the same underflow at x_1 = y_1 = 0
+            ((1.0, 0.0), (0.0, 0.0), (1e224, 1e-180), 1e113),
+        ],
+    )
+    def test_starved_index_verifies_with_criterion_3_bound(self, x, y, z, eps, strategy):
+        cert = factor_seq(x, y, z, eps, strategy)
+        instance = SeqInstance(x=x, y=y, z=z, eps=eps)
+        report = verify_certificate(instance, cert)
+        assert report.passed
+        if strategy == "finite":
+            assert report.norm_v_dist <= eps / 2.0
+        else:
+            eta = 2.0 * math.sqrt(instance.defect())
+            assert report.norm_v_dist <= eta < eps / 2.0
+
     def test_underflowed_weight_falls_back_to_exact_division(self):
         # the second index's weight rounds to zero; exact division must
         # still deliver a verifiable certificate
@@ -187,3 +217,76 @@ class TestProperties:
         assert len(cert.u) == 3
         assert cert.u[1] == 0.0  # padded x entry copied
         assert cert.v[1] == 0.5  # y entry kept: index agrees after padding
+
+
+def reference_seq_split(x, y, z, eps, strategy):
+    """seq_split as a per-index loop: (agree, eta, lambdas, radii)."""
+    n = max(len(x), len(y), len(z))
+    pad = lambda s: tuple(float(c) for c in s) + (0.0,) * (n - len(s))
+    xs, ys, zs = pad(x), pad(y), pad(z)
+    diffs = tuple(abs(c - a * b) for a, b, c in zip(xs, ys, zs))
+    working = [i for i, d in enumerate(diffs) if d != 0.0]
+    defect = math.fsum(diffs[i] for i in working)
+    agree = frozenset(i for i, d in enumerate(diffs) if d == 0.0)
+    if not working:
+        return agree, 0.0, {}, {}
+    if strategy in ("auto", "finite"):
+        eta = defect
+        lambdas = {i: diffs[i] / eta for i in working}
+        radii = {i: (lambdas[i] * eps / 2.0, eps / 2.0) for i in working}
+        return agree, eta, lambdas, radii
+    w = [0.0] * n
+    running = 0.0
+    for i in range(n - 1, -1, -1):
+        running += diffs[i]
+        w[i] = math.sqrt(running)
+    eta = 2.0 * w[0]
+    lambdas = {i: diffs[i] / (eta * w[i]) for i in working}
+    radii = {i: (lambdas[i] * eps, 2.0 * w[i]) for i in working}
+    return agree, eta, lambdas, radii
+
+
+def exact_bits(value):
+    """The value with every float as its hex string, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [exact_bits(v) for v in value]
+    if isinstance(value, dict):
+        return [(k, exact_bits(v)) for k, v in value.items()]
+    return value
+
+
+def reference_cases():
+    rng = random.Random(8128)
+    for n in (1, 2, 7, 60, 500, 2000, 2000):
+        x, y, z, eps = random_seq_instance(rng, n)
+        # some indices agree exactly, and the prefixes differ in length:
+        # y drops its last entry, where z becomes 0, and z gains zeros
+        z = tuple(a * b if rng.random() < 0.2 else c for a, b, c in zip(x, y, z))
+        if n > 1:
+            y, z = y[:-1], z[:-1] + (0.0,)
+        yield x, y, z + (0.0,) * rng.randint(0, 2), eps
+    yield (1.0, 1.0), (3.0, 0.0), (5.9, 5e-324), 10.0  # underflowed weight
+    yield (1.0, 0.0, 2.0), (1.0, 0.0, 0.5), (1.0, 0.0, 1.0), 1.0  # all agree
+    yield (1.0, 2e-323), (0.0, -1.75), (1e224, -1e-180), 1e113
+
+
+class TestReferenceEquality:
+    @pytest.mark.parametrize("strategy", ["finite", "tail", "auto"])
+    def test_seq_split_matches_per_index_loop(self, strategy):
+        for x, y, z, eps in reference_cases():
+            split = seq_split(x, y, z, eps, strategy)
+            agree, eta, lambdas, radii = reference_seq_split(x, y, z, eps, strategy)
+            assert split.agree == agree
+            assert exact_bits(split.eta) == exact_bits(eta)
+            assert exact_bits(split.lambdas) == exact_bits(lambdas)
+            assert exact_bits(split.radii) == exact_bits(radii)
+
+    def test_tail_weights_match_per_index_loop(self):
+        for a in ([0.0, 4.0], [1.0, -0.0, 0.0], [5e-324, 0.0, 1e300, 2.5]):
+            running, w = 0.0, []
+            for v in reversed(a):
+                running += v
+                w.append(math.sqrt(running))
+            assert exact_bits(tail_weights(a).w) == exact_bits(w[::-1])

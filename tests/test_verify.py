@@ -111,6 +111,25 @@ class TestVerifier:
         assert report.passed
         assert report.constant_used == 0.0625
 
+    def test_seq_distances_match_per_index_loop(self):
+        rng = random.Random(271)
+        for n in (1, 30, 2000):
+            spec = InstanceSpec(kind="seq", n=n, eps=0.8, defect_fraction=0.7, seed=n)
+            inst = gen_instance(spec)
+            for strategy in ("finite", "tail"):
+                cert = factor_seq(inst.x, inst.y, inst.z, inst.eps, strategy)
+                # a longer certificate with a perturbed entry and a null tail
+                u = list(cert.u) + [0.0, 1e-3]
+                v = list(cert.v) + [-2e-3, 0.0]
+                u[rng.randrange(n)] += 1e-7
+                cert = FactorizationCertificate(u=u, v=v, radius_u=1.0, radius_v=1.0)
+                report = verify_certificate(inst, cert)
+                pad = lambda s: tuple(s) + (0.0,) * (len(u) - len(s))
+                du = math.fsum(abs(a - b) for a, b in zip(u, pad(inst.x)))
+                dv = max((abs(a - b) for a, b in zip(v, pad(inst.y))), default=0.0)
+                assert report.norm_u_dist.hex() == du.hex()
+                assert report.norm_v_dist.hex() == dv.hex()
+
 
 class TestJsonInterchange:
     def test_floats_round_trip_exactly(self):
