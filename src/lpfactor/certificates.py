@@ -8,7 +8,7 @@ only via the p = oo argument swap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 __all__ = ["FactorizationCertificate"]
@@ -33,6 +33,23 @@ class FactorizationCertificate:
         object.__setattr__(self, "v", tuple(map(float, self.v)))
         if len(self.u) != len(self.v):
             raise ValueError("factor pair lengths differ")
+
+    def transposed(self) -> "FactorizationCertificate":
+        """The certificate with the roles of u and v exchanged.
+
+        This is the one p = oo swap: the p = 1 solve of (g, f, h),
+        transposed, answers (f, g, h) at p = oo, and a closed v-side bound
+        lands on the u side.
+        """
+        return replace(
+            self,
+            u=self.v,
+            v=self.u,
+            radius_u=self.radius_v,
+            radius_v=self.radius_u,
+            strict_u=self.strict_v,
+            strict_v=self.strict_u,
+        )
 
     def to_json(self) -> dict:
         return {

@@ -14,11 +14,13 @@ scalar kernel does the rest.
 With counting measure (all atom measures 1) this specializes to the
 sequence spaces l_p x l_q.
 
-Validation: the ``SimpleFunction`` constructors have already checked that
-every coefficient is finite and every measure valid, so ``factor_countable``
-only checks membership (f in L_p, g in L_q, h in L_1), through the cheap
-sufficient bound of ``norm_is_finite``.  Inside the pipeline its inputs are
-the quantized core functions, themselves built on the trusted path.  The
+Validation happens once, at the public edge: the ``SimpleFunction``
+constructors have already checked that every coefficient is finite and
+every measure valid, so ``factor_countable`` only checks membership (f in
+L_p, g in L_q, h in L_1), through the cheap sufficient bound of
+``norm_is_finite``, and answers p = oo by the certificate's one swap.  The
+construction itself, ``_countable``, runs on trusted coefficient and measure
+tuples, which is how the L_p pipeline calls it on its quantized core.  The
 per-atom work runs on bare floats: the Lemma-2 loop calls ``scalar._split``
 directly, without a ``ScalarBox`` or ``ScalarFactorPair`` per atom.
 """
@@ -26,9 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from operator import and_, mul, not_, sub, truth
-from typing import Union
+from itertools import compress, repeat
+from operator import and_, mul, not_, sub, truediv, truth
+from typing import Sequence, Union
 
 from .certificates import FactorizationCertificate
 from .errors import FeasibilityError
@@ -46,30 +48,46 @@ from .scalar import factor_scalar  # noqa: F401  (traced here by bench/spans.py)
 __all__ = ["AgreementSplit", "agreement_split", "factor_countable"]
 
 _L1 = Exponent(1)
+_CONTEXT = "countable factorization"
 
 
 @dataclass(frozen=True)
 class AgreementSplit:
-    """The agreement set E, the defect eta, and the per-atom weight scheme.
+    """The agreement set E, the defect eta, and the per-atom weights.
 
     ``lambdas`` maps atom indices outside E to weights in (0, 1]; ``radii``
     maps the same indices to the (r_k, R_k) pair fed to the scalar kernel.
-    ``scheme`` records which weight scheme produced the split: the weights
-    sum to 1 exactly for the "lemma2" and "seq-finite" schemes and to at
-    most 1 for "seq-tail".
     """
 
     agree: frozenset
     eta: float
     lambdas: dict
     radii: dict
-    scheme: str
 
 
-def atom_defects(f: SimpleFunction, g: SimpleFunction, h: SimpleFunction) -> list:
-    """|z_n - x_n y_n| for every atom, in C-level passes."""
-    products = map(mul, f.coefficients, g.coefficients)
-    return list(map(abs, map(sub, h.coefficients, products)))
+def split_defects(fs, gs, hs, measures, eps: float, context: str):
+    """The per-atom defects, the mask of atoms outside E, and eta.
+
+    An atom lies outside E when it has a nonzero defect |z_n - x_n y_n| and
+    a nonzero measure; eta = ||h - fg||_1 is ``l1_defect`` over those atoms.
+    Raises FeasibilityError, naming ``context``, unless eta < eps^2/4.
+    """
+    defects = list(map(abs, map(sub, hs, map(mul, fs, gs))))
+    outside = list(map(and_, map(truth, defects), map(truth, measures)))
+    eta = l1_defect(defects, measures, outside)
+    bound = eps * eps / 4.0
+    if not eta < bound:
+        raise FeasibilityError(eta, bound, context=context)
+    return defects, outside, eta
+
+
+def l1_defect(defects: Sequence[float], measures: Sequence[float], mask) -> float:
+    """The fsum of defect times measure over the masked atoms.
+
+    The mask excludes null atoms before multiplying, so an overflowed defect
+    never meets a zero measure as inf * 0.
+    """
+    return fsum_or_inf(map(mul, compress(defects, mask), compress(measures, mask)))
 
 
 def copy_pair(x: float, y: float, z: float):
@@ -82,11 +100,30 @@ def copy_pair(x: float, y: float, z: float):
     return root, (math.copysign(root, z) if z != 0 else 0.0)
 
 
-def check_memberships(f, g, h, p: Exponent) -> None:
+def check_memberships(fs, gs, hs, measures, p: Exponent) -> None:
     """Raise ValueError unless f is in L_p, g in L_q and h in L_1."""
-    for name, fn, expo in (("f", f, p), ("g", g, conjugate(p)), ("h", h, _L1)):
-        if not norm_is_finite(fn, expo):
+    for name, coeffs, expo in (("f", fs, p), ("g", gs, conjugate(p)), ("h", hs, _L1)):
+        if not norm_is_finite(coeffs, measures, expo):
             raise ValueError(f"{name} has infinite norm; not a member of its space")
+
+
+def _radii(defects, outside, eta: float, p: Exponent, eps: float):
+    """The kernel radii (r_k) and (R_k) along the atoms outside E, as iterators."""
+    # The radius ratio lambda_k / mu(A_k) reduces to |z_k - x_k y_k| / eta:
+    # the measure cancels, so compute it that way, immune to the spurious
+    # under/overflow a share / eta / mu round trip can suffer.  eta_scale
+    # guards the all-shares-subnormal edge where eta itself rounds to zero
+    # while the atoms still need positive radii.
+    shares = list(compress(defects, outside))
+    eta_scale = max(eta, len(shares) * 5e-324)
+    ratios = list(map(truediv, shares, repeat(eta_scale)))
+    inv_q = conjugate(p).reciprocal()
+    if inv_q == 0.0:  # p = 1: r_k = lambda_k eps / mu(A_k), R_k = eps
+        big_rs = repeat(eps)
+    else:
+        big_rs = map(mul, repeat(eps), map(pow, ratios, repeat(inv_q)))
+        ratios = map(pow, ratios, repeat(p.reciprocal()))
+    return map(mul, repeat(eps), ratios), big_rs
 
 
 def agreement_split(
@@ -108,41 +145,22 @@ def agreement_split(
         raise ValueError("agreement_split requires finite p; swap the factors")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    defects = atom_defects(f, g, h)
     measures = f.space.measures
-    # Outside E: a nonzero defect on an atom of nonzero measure.
-    outside = list(map(and_, map(truth, defects), map(truth, measures)))
+    defects, outside, eta = split_defects(
+        f.coefficients, g.coefficients, h.coefficients, measures, eps, _CONTEXT
+    )
+    rs, big_rs = _radii(defects, outside, eta, p, eps)
     working = list(compress(range(len(defects)), outside))
-    shares = list(compress(defects, outside))
-    weights = list(compress(measures, outside))
-    eta = fsum_or_inf(map(mul, shares, weights))
-    bound = eps * eps / 4.0
-    if not eta < bound:
-        raise FeasibilityError(eta, bound, context="countable factorization")
-
-    # The radius ratio lambda_k / mu(A_k) reduces to |z_k - x_k y_k| / eta:
-    # the measure cancels, so compute it that way, immune to the spurious
-    # under/overflow a share / eta / mu round trip can suffer.  eta_scale
-    # guards the all-shares-subnormal edge where eta itself rounds to zero
-    # while the atoms still need positive radii.
-    eta_scale = max(eta, len(working) * 5e-324)
-    inv_p = p.reciprocal()
-    inv_q = conjugate(p).reciprocal()
-    lambdas = {}
-    radii = {}
-    for i, d, mu in zip(working, shares, weights):
-        lambdas[i] = d * mu / eta if eta > 0 else 0.0
-        ratio = d / eta_scale
-        if inv_q == 0.0:  # p = 1: r_k = lambda_k eps / mu(A_k), R_k = eps
-            radii[i] = (eps * ratio, eps)
-        else:
-            radii[i] = (eps * ratio**inv_p, eps * ratio**inv_q)
+    if eta > 0:  # lambda_k = |z_k - x_k y_k| mu(A_k) / eta
+        shares = map(mul, compress(defects, outside), compress(measures, outside))
+        lambdas = map(truediv, shares, repeat(eta))
+    else:
+        lambdas = repeat(0.0)
     return AgreementSplit(
         agree=frozenset(compress(range(len(defects)), map(not_, outside))),
         eta=eta,
-        lambdas=lambdas,
-        radii=radii,
-        scheme="lemma2",
+        lambdas=dict(zip(working, lambdas)),
+        radii=dict(zip(working, zip(rs, big_rs))),
     )
 
 
@@ -163,25 +181,31 @@ def factor_countable(
     if not isinstance(p, Exponent):
         p = Exponent(p)
     if p.is_infinite:
-        swapped = factor_countable(g, f, h, _L1, eps)
-        return FactorizationCertificate(
-            u=swapped.v,
-            v=swapped.u,
-            radius_u=eps,
-            radius_v=eps,
-            strict_u=swapped.strict_v,
-            strict_v=swapped.strict_u,
-        )
-    check_memberships(f, g, h, p)
-
-    split = agreement_split(f, g, h, p, eps)
+        return factor_countable(g, f, h, _L1, eps).transposed()
     fs, gs, hs = f.coefficients, g.coefficients, h.coefficients
+    measures = f.space.measures
+    check_memberships(fs, gs, hs, measures, p)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    u, v = _countable(fs, gs, hs, measures, p, eps)
+    return FactorizationCertificate(
+        u=u, v=v, radius_u=eps, radius_v=eps, strict_u=True, strict_v=p.value != 1
+    )
+
+
+def _countable(fs, gs, hs, measures, p: Exponent, eps: float):
+    """The countable construction on trusted tuples: the lists (u, v).
+
+    p is finite, eps positive, and f, g, h members of their spaces.
+    """
+    defects, outside, eta = split_defects(fs, gs, hs, measures, eps, _CONTEXT)
+    rs, big_rs = _radii(defects, outside, eta, p, eps)
     u = list(fs)
     v = list(gs)
-    for i in split.agree:
+    for i in compress(range(len(fs)), map(not_, outside)):
         u[i], v[i] = copy_pair(fs[i], gs[i], hs[i])
     inf = math.inf
-    for i, (r, big_r) in split.radii.items():
+    for i, r, big_r in zip(compress(range(len(fs)), outside), rs, big_rs):
         x, y, z = fs[i], gs[i], hs[i]
         if 0.0 < r < inf and 0.0 < big_r < inf:
             pair = _split(x, y, r, big_r, z)
@@ -193,14 +217,7 @@ def factor_countable(
         # ulp): split by exact division against the larger coordinate, or
         # fall back to a power split when both coordinates are negligible.
         u[i], v[i] = _starved_pair(x, y, z, p, eps)
-    return FactorizationCertificate(
-        u=tuple(u),
-        v=tuple(v),
-        radius_u=eps,
-        radius_v=eps,
-        strict_u=True,
-        strict_v=p.value != 1,
-    )
+    return u, v
 
 
 def _starved_pair(x: float, y: float, z: float, p: Exponent, eps: float):

@@ -18,13 +18,16 @@ When a grid is finer than double precision can resolve, quantization
 degenerates to the identity, which is exactly the correctly rounded result
 of the true grid.
 
-Validation happens once, at the edge: the ``SimpleFunction`` and
-``MeasureSpace`` constructors check finiteness and measures, and
+Validation happens once, at the public edge: the ``SimpleFunction`` and
+``MeasureSpace`` constructors check finiteness and measures,
 ``factor_general`` checks membership (f in L_p, g in L_q, h in L_1) through
-the cheap sufficient bound of ``norm_is_finite``.  Everything derived from
-valid inputs is built on the trusted path, without re-validation: the
-working and core subspaces (``MeasureSpace.subspace``), the restrictions of
-f, g and h to them, the truncation envelope, and the quantized functions.
+the cheap sufficient bound of ``norm_is_finite``, and p = oo is answered by
+the certificate's one swap.  Between the stages only trusted tuples pass:
+coefficients, measures and the defects already computed.  The general stage
+hands its core to ``_bounded``, which quantizes with ``quantize_grid`` and
+``quantize_geometric`` (coefficient tuples in, coefficient tuples out) and
+solves with ``countable._countable``, so no space or function object is
+rebuilt and no check is re-run on data already valid.
 """
 from __future__ import annotations
 
@@ -33,10 +36,17 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import and_, mul, not_, truth
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .certificates import FactorizationCertificate
-from .countable import atom_defects, check_memberships, copy_pair, factor_countable
+from .countable import (
+    _countable,
+    check_memberships,
+    copy_pair,
+    factor_countable,  # noqa: F401  (bench/spans.py traces calls through this name)
+    l1_defect,
+    split_defects,
+)
 from .errors import FeasibilityError
 from .measure import (
     INFINITE,
@@ -45,6 +55,7 @@ from .measure import (
     conjugate,
     fsum_or_inf,
     norm,  # noqa: F401  (bench/spans.py traces calls through this name)
+    norm_is_finite,
     pow_or_inf,
     truncate_support,
 )
@@ -62,6 +73,7 @@ __all__ = [
 _TINY = 5e-324  # smallest positive double; keeps "half the sup bound" positive
 _GRID_LIMIT = 2.0**53  # beyond this many grid steps a double cannot resolve one
 _ONE = Fraction(1)
+_L1 = Exponent(1)
 
 
 @dataclass(frozen=True)
@@ -165,7 +177,7 @@ def select_params(
     return QuantizationParams(m=m, eps1=eps1, delta=delta, d=d, eps_bar=eps_bar)
 
 
-def quantize_grid(f: SimpleFunction, delta: float) -> SimpleFunction:
+def quantize_grid(coeffs: Sequence[float], delta: float) -> tuple:
     """Truncate each coefficient toward zero onto the grid {k delta}.
 
     Pointwise, |f - f'| <= delta and |f'| <= |f|; grid points are fixed.
@@ -178,7 +190,7 @@ def quantize_grid(f: SimpleFunction, delta: float) -> SimpleFunction:
     out = []
     push = out.append
     copysign = math.copysign
-    for c in f.coefficients:
+    for c in coeffs:
         t = abs(c)
         if t == 0.0:
             push(0.0)
@@ -193,33 +205,32 @@ def quantize_grid(f: SimpleFunction, delta: float) -> SimpleFunction:
         while k > 0 and k * delta > t:
             k -= 1
         push(copysign(k * delta, c))
-    # |f'| <= |f| pointwise: finite wherever f is.
-    return SimpleFunction._trusted(f.space, tuple(out))
+    return tuple(out)
 
 
 def quantize_geometric(
-    h: SimpleFunction,
+    coeffs: Sequence[float],
     d: Union[float, Fraction],
     m: float,
-) -> SimpleFunction:
+) -> tuple:
     """Snap |h| down onto the geometric grid {d^n m}, preserving sign.
 
-    Zero stays zero; elsewhere 1 <= h/h' <= 1/d and |h - h'| <= (1 - d) m.
-    Requires |h| <= m pointwise and 0 < d < 1.  When d is within one double
-    ulp of 1 the grid is finer than double precision and the identity is
-    the correctly rounded result.
+    Takes and returns the coefficients of h.  Zero stays zero; elsewhere
+    1 <= h/h' <= 1/d and |h - h'| <= (1 - d) m.  Requires |h| <= m
+    pointwise and 0 < d < 1.  When d is within one double ulp of 1 the grid
+    is finer than double precision and the identity is the correctly
+    rounded result: the input itself is returned.
     """
     if not 0 < d < 1:
         raise ValueError("d must lie strictly between 0 and 1")
     if m <= 0:
         raise ValueError("m must be positive")
     d_f = float(d)
-    coeffs = h.coefficients
     if max(map(abs, coeffs), default=0.0) > m:
         c = next(c for c in coeffs if abs(c) > m)
         raise ValueError(f"|h| exceeds the declared bound m: {c!r} > {m!r}")
     if d_f >= 1.0:
-        return h
+        return coeffs
     log, ceil, copysign = math.log, math.ceil, math.copysign
     log_d = log(d_f)
     log_m = log(m)
@@ -254,8 +265,7 @@ def quantize_geometric(
             if val <= 0.0:
                 val = t
         push(copysign(val, c))
-    # Every value is h's own or a grid level of magnitude at most m: finite.
-    return SimpleFunction._trusted(h.space, tuple(out))
+    return tuple(out)
 
 
 def _grid_level(t: float, m: float, d: float, j: int) -> int:
@@ -324,15 +334,43 @@ def snap_to_gamma_grid(value: float, gamma: float, cap: float) -> float:
     return math.copysign((k + 1) * gamma, 1.0 if value >= 0 else -1.0)
 
 
-def _lp_defect(defects: list, measures: tuple) -> float:
-    """||h - fg||_1 from the per-atom defects, skipping null atoms."""
-    nonzero = list(compress(defects, defects))
-    total = fsum_or_inf(map(mul, nonzero, compress(measures, defects)))
-    if total != total:
-        # An overflowed product on a null atom met its zero measure as
-        # inf * 0; null atoms are invisible, so sum without them.
-        total = fsum_or_inf(d * mu for d, mu in zip(defects, measures) if d and mu)
-    return total
+def _bounded(fs, gs, hs, measures, core, defect, p, eps, u, v, check=False):
+    """Quantize, solve and repair on the atoms flagged in ``core``.
+
+    The stage shared by the two public pipelines, on trusted tuples.  Every
+    core atom has a nonzero defect and a nonzero measure, ``defect`` is
+    their L1 defect, already below eps^2/4, and p is finite.  Writes the
+    factors of the core atoms into the lists u and v and returns the
+    parameters, or None when no atom is flagged.  ``check`` tests
+    membership on the quantized functions before the countable solve, for
+    inputs that were not checked before.
+    """
+    if not any(core):
+        return None
+    f_c, g_c, h_c, mus = (tuple(compress(xs, core)) for xs in (fs, gs, hs, measures))
+    mu_total = fsum_or_inf(mus)
+    if math.isinf(mu_total):
+        raise ValueError("bounded stage requires finite measure where h != fg")
+    m = (
+        max(mu_total, max(map(abs, f_c)), max(map(abs, g_c)), max(map(abs, h_c)))
+        + 1.0
+    )
+    params = select_params(defect, m, p, eps)
+    f_q = quantize_grid(f_c, params.delta)
+    g_q = quantize_grid(g_c, params.delta)
+    h_q = quantize_geometric(h_c, params.d, m)
+    if check:
+        check_memberships(f_q, g_q, h_q, mus, p)
+    inner_u, inner_v = _countable(f_q, g_q, h_q, mus, p, params.eps_bar)
+    # alpha = h/h' in [1, 1/d] repairs the geometric quantization of h.
+    repaired = [
+        (target / snapped if snapped != 0.0 else 1.0) * w
+        for target, snapped, w in zip(h_c, h_q, inner_u)
+    ]
+    for i, a, b in zip(compress(range(len(u)), core), repaired, inner_v):
+        u[i] = a
+        v[i] = b
+    return params
 
 
 def factor_bounded(
@@ -354,70 +392,23 @@ def factor_bounded(
     if eps <= 0:
         raise ValueError("eps must be positive")
     if p.is_infinite:
-        swapped = factor_bounded(g, f, h, Exponent(1), eps)
-        return FactorizationCertificate(
-            u=swapped.v,
-            v=swapped.u,
-            radius_u=eps,
-            radius_v=eps,
-            params=swapped.params,
-        )
+        return factor_bounded(g, f, h, _L1, eps).transposed()
 
     fs, gs, hs = f.coefficients, g.coefficients, h.coefficients
     measures = f.space.measures
-    defects = atom_defects(f, g, h)
-    defect = _lp_defect(defects, measures)
-    bound = eps * eps / 4.0
-    if not defect < bound:
-        raise FeasibilityError(defect, bound, context="bounded factorization")
+    _, outside, defect = split_defects(
+        fs, gs, hs, measures, eps, "bounded factorization"
+    )
 
-    # The pipeline runs on the atoms with a nonzero defect and a nonzero
-    # measure; the others keep an exact split.
-    outside = list(map(and_, map(truth, defects), map(truth, measures)))
+    # The pipeline runs on the atoms outside E; the others keep an exact
+    # split.
     u = list(fs)
     v = list(gs)
     for i in compress(range(len(fs)), map(not_, outside)):
         u[i], v[i] = copy_pair(fs[i], gs[i], hs[i])
-    working = list(compress(range(len(fs)), outside))
-    if not working:
-        return FactorizationCertificate(
-            u=tuple(u), v=tuple(v), radius_u=eps, radius_v=eps
-        )
-
-    if len(working) == len(fs):
-        sub, f2, g2, h2 = f.space, f, g, h
-    else:
-        sub = f.space.subspace(working)
-        f2 = SimpleFunction._trusted(sub, tuple(compress(fs, outside)))
-        g2 = SimpleFunction._trusted(sub, tuple(compress(gs, outside)))
-        h2 = SimpleFunction._trusted(sub, tuple(compress(hs, outside)))
-    mu_total = fsum_or_inf(sub.measures)
-    if math.isinf(mu_total):
-        raise ValueError("bounded stage requires finite measure where h != fg")
-    m = (
-        max(
-            mu_total,
-            max(map(abs, f2.coefficients)),
-            max(map(abs, g2.coefficients)),
-            max(map(abs, h2.coefficients)),
-        )
-        + 1.0
-    )
-    params = select_params(defect, m, p, eps)
-    f_q = quantize_grid(f2, params.delta)
-    g_q = quantize_grid(g2, params.delta)
-    h_q = quantize_geometric(h2, params.d, m)
-    inner = factor_countable(f_q, g_q, h_q, p, params.eps_bar)
-    # alpha = h/h' in [1, 1/d] repairs the geometric quantization of h.
-    repaired = [
-        (target / snapped if snapped != 0.0 else 1.0) * w
-        for target, snapped, w in zip(h2.coefficients, h_q.coefficients, inner.u)
-    ]
-    for i, a, b in zip(working, repaired, inner.v):
-        u[i] = a
-        v[i] = b
+    params = _bounded(fs, gs, hs, measures, outside, defect, p, eps, u, v, check=True)
     return FactorizationCertificate(
-        u=tuple(u), v=tuple(v), radius_u=eps, radius_v=eps, params=params
+        u=u, v=v, radius_u=eps, radius_v=eps, params=params
     )
 
 
@@ -442,33 +433,22 @@ def factor_general(
     if eps <= 0:
         raise ValueError("eps must be positive")
     if p.is_infinite:
-        swapped = factor_general(g, f, h, Exponent(1), eps)
-        return FactorizationCertificate(
-            u=swapped.v,
-            v=swapped.u,
-            radius_u=eps,
-            radius_v=eps,
-            params=swapped.params,
-        )
-    check_memberships(f, g, h, p)
+        return factor_general(g, f, h, _L1, eps).transposed()
     fs, gs, hs = f.coefficients, g.coefficients, h.coefficients
     measures = f.space.measures
-    defects = atom_defects(f, g, h)
-    defect = _lp_defect(defects, measures)
-    bound = eps * eps / 4.0
-    if not defect < bound:
-        raise FeasibilityError(defect, bound, context="general factorization")
+    check_memberships(fs, gs, hs, measures, p)
+    defects, outside, defect = split_defects(
+        fs, gs, hs, measures, eps, "general factorization"
+    )
 
     u = list(fs)
     v = list(gs)
-    working = list(compress(range(len(fs)), defects))  # h != fg
-    if not working:
-        return FactorizationCertificate(
-            u=tuple(u), v=tuple(v), radius_u=eps, radius_v=eps
-        )
+    if not any(defects):  # h = fg everywhere
+        return FactorizationCertificate(u=u, v=v, radius_u=eps, radius_v=eps)
 
     # Inner radius and tail budget: midpoint of (2 sqrt(defect), eps), then
     # half of gamma's admissible supremum (eps - delta)/2.
+    bound = eps * eps / 4.0
     delta = (2.0 * math.sqrt(defect) + eps) / 2.0
     guard = 0
     while not defect < delta * delta / 4.0:
@@ -483,20 +463,20 @@ def factor_general(
 
     q = conjugate(p)
     p_f, q_f = float(p), (math.inf if q.is_infinite else float(q))
-    sub = f.space.subspace(working)
-    # The envelope steers the truncation; null atoms are invisible to every
-    # integral (and their powers may overflow), so they are zeroed here and
-    # land off the core, where the extensions handle them measure-free.
-    live = list(map(truth, sub.measures))
-    mag_f = list(map(mul, map(abs, compress(fs, defects)), live))
-    mag_h = list(map(mul, map(abs, compress(hs, defects)), live))
-    # Saturation: a power or the tail budget leaves the double range.
+    # The envelope steers the truncation.  It is zero off the atoms outside
+    # E, which truncate_support ignores: null atoms are invisible to every
+    # integral (and their powers may overflow), so they land off the core,
+    # where the extensions handle them measure-free.
+    mag_f = list(map(mul, map(abs, fs), outside))
+    mag_h = list(map(mul, map(abs, hs), outside))
+    # Saturation: a power, the tail budget or the envelope's integral leaves
+    # the double range.
     if q.is_infinite:  # p = 1: control |f| and |h| on the core
         envelope = list(map(max, mag_f, mag_h))
         tail_budget = min(gamma, gamma * gamma)
         saturated = False
     else:
-        mag_g = list(map(mul, map(abs, compress(gs, defects)), live))
+        mag_g = list(map(mul, map(abs, gs), outside))
         try:
             pow_f = list(map(pow, mag_f, repeat(p_f)))
             pow_g = list(map(pow, mag_g, repeat(q_f)))
@@ -511,34 +491,26 @@ def factor_general(
         budgets = (pow_or_inf(gamma, p_f), pow_or_inf(gamma, q_f))
         saturated = saturated or 0.0 in budgets or INFINITE in budgets
         tail_budget = min(budgets)
-    if saturated or tail_budget < 1e-290:
+    if (
+        saturated
+        or tail_budget < 1e-290
+        or not norm_is_finite(envelope, measures, _L1)
+    ):
         # The exponents push the tail budget or the envelope outside what
         # binary64 can represent; the only truncation whose tails provably
         # cost nothing is the one that keeps every positive-measure atom.
-        core = list(compress(range(len(working)), live))
+        core = outside
     else:
-        trunc = truncate_support(
-            SimpleFunction._trusted(sub, tuple(envelope)), tail_budget
-        )
-        core = trunc.kept_indices
-    in_core = [False] * len(working)
-    for j in core:
-        in_core[j] = True
-    core_atoms = list(compress(working, in_core))
-    off_atoms = list(compress(working, map(not_, in_core)))
+        trunc = truncate_support(SimpleFunction(f.space, envelope), tail_budget)
+        core = [False] * len(fs)
+        for i in trunc.kept_indices:
+            core[i] = True
 
-    core_space = f.space.subspace(core_atoms)
-    inner = factor_bounded(
-        SimpleFunction._trusted(core_space, tuple(map(fs.__getitem__, core_atoms))),
-        SimpleFunction._trusted(core_space, tuple(map(gs.__getitem__, core_atoms))),
-        SimpleFunction._trusted(core_space, tuple(map(hs.__getitem__, core_atoms))),
-        p,
-        delta,
-    )
-    for i, a, b in zip(core_atoms, inner.u, inner.v):
-        u[i] = a
-        v[i] = b
+    core_defect = l1_defect(defects, measures, core)
+    params = _bounded(fs, gs, hs, measures, core, core_defect, p, delta, u, v)
 
+    off = map(and_, map(truth, defects), map(not_, core))
+    off_atoms = list(compress(range(len(fs)), off))
     g_sup = None
     if q.is_infinite:
         g_sup = max(
@@ -557,9 +529,8 @@ def factor_general(
             u[i] = t**inv_p
             v[i] = math.copysign(t**inv_q, z) if z != 0 else 0.0
 
-    params = inner.params
     if params is not None:
         params = replace(params, gamma=gamma, outer_delta=delta, g_sup=g_sup)
     return FactorizationCertificate(
-        u=tuple(u), v=tuple(v), radius_u=eps, radius_v=eps, params=params
+        u=u, v=v, radius_u=eps, radius_v=eps, params=params
     )

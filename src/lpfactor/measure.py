@@ -104,13 +104,6 @@ class MeasureSpace:
             bad = next(m for m in measures if not m >= 0)
             raise ValueError(f"atom measure must be >= 0 or INFINITE, got {bad!r}")
 
-    @classmethod
-    def _trusted(cls, atoms: tuple, measures: tuple, units: str) -> "MeasureSpace":
-        """Build from parts already known to be valid, skipping validation."""
-        space = object.__new__(cls)
-        space.__dict__.update(atoms=atoms, measures=measures, units=units)
-        return space
-
     def __len__(self) -> int:
         return len(self.atoms)
 
@@ -124,18 +117,6 @@ class MeasureSpace:
     def counting(cls, n: int) -> "MeasureSpace":
         """Counting measure on n atoms; turns L_p into the sequence space l_p."""
         return cls.from_measures([1.0] * n)
-
-    def subspace(self, indices: Sequence[int]) -> "MeasureSpace":
-        """The restriction to the atoms at the given distinct positions.
-
-        Kept in the order given.  The restriction of a valid space is valid,
-        so the result is built on the trusted path, without re-validation.
-        """
-        return MeasureSpace._trusted(
-            tuple(map(self.atoms.__getitem__, indices)),
-            tuple(map(self.measures.__getitem__, indices)),
-            self.units,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +209,6 @@ class SimpleFunction:
             bad = next(c for c in coeffs if not math.isfinite(c))
             raise ValueError(f"coefficients must be finite reals, got {bad!r}")
 
-    @classmethod
-    def _trusted(cls, space: MeasureSpace, coefficients: tuple) -> "SimpleFunction":
-        """Build from a tuple of finite floats, one per atom, skipping validation."""
-        fn = object.__new__(cls)
-        fn.__dict__.update(space=space, coefficients=coefficients)
-        return fn
-
     def __len__(self) -> int:
         return len(self.coefficients)
 
@@ -272,8 +246,11 @@ def norm(f: SimpleFunction, p: Union[Exponent, float, int, Fraction]) -> float:
     """
     if not isinstance(p, Exponent):
         p = Exponent(p)
-    coeffs = f.coefficients
-    measures = f.space.measures
+    return _norm(f.coefficients, f.space.measures, p)
+
+
+def _norm(coeffs: Sequence[float], measures: Sequence[float], p: Exponent) -> float:
+    """``norm`` on a coefficient tuple and the measures of its space."""
     if p.is_infinite:
         return max(compress(map(abs, coeffs), map(_POSITIVE, measures)), default=0.0)
     live = list(map(_POSITIVE, measures))
@@ -301,8 +278,10 @@ def norm(f: SimpleFunction, p: Union[Exponent, float, int, Fraction]) -> float:
 _SAFE_BOUND = 2.0**1000
 
 
-def norm_is_finite(f: SimpleFunction, p: Exponent) -> bool:
-    """Whether ``norm(f, p)`` is finite, usually without computing it.
+def norm_is_finite(
+    coeffs: Sequence[float], measures: Sequence[float], p: Exponent
+) -> bool:
+    """Whether the L_p norm of coefficients on these measures is finite.
 
     ``||f||_p^p <= max|a_n|^p * mu(supp f)``: when that bound sits well
     inside binary64 the norm is finite, which takes three C-level passes.
@@ -312,12 +291,11 @@ def norm_is_finite(f: SimpleFunction, p: Exponent) -> bool:
     """
     if p.is_infinite:
         return True  # the largest of finitely many finite coefficients
-    coeffs = f.coefficients
     top = max(map(abs, coeffs), default=0.0)
-    support = fsum_or_inf(compress(f.space.measures, coeffs))
+    support = fsum_or_inf(compress(measures, coeffs))
     if pow_or_inf(top, float(p)) * support < _SAFE_BOUND:
         return True
-    return not math.isinf(norm(f, p))
+    return not math.isinf(_norm(coeffs, measures, p))
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +346,9 @@ def truncate_support(f: SimpleFunction, eps: float) -> TruncationResult:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not norm_is_finite(f, _L1):
-        raise ValueError("truncation requires a function with finite 1-norm")
     coeffs = f.coefficients
+    if not norm_is_finite(coeffs, f.space.measures, _L1):
+        raise ValueError("truncation requires a function with finite 1-norm")
     # Atoms with |f| = 0 never satisfy 1/k <= |f| and never contribute tail;
     # a finite 1-norm keeps every other atom's |f| mu finite.
     support = list(compress(range(len(coeffs)), coeffs))

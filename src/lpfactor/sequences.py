@@ -82,8 +82,8 @@ def _padded_split(x, y, z, eps, strategy):
     """Validate, pad once and split; see ``seq_split``.
 
     Returns the padded inputs, the working indices (those with a nonzero
-    defect), eta, the scheme name, and lambda_k, r_k and R_k along the
-    working indices, the radii as iterators.
+    defect), eta, and lambda_k, r_k and R_k along the working indices, the
+    radii as iterators.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
@@ -98,20 +98,20 @@ def _padded_split(x, y, z, eps, strategy):
         raise FeasibilityError(defect, bound, context="sequence factorization")
     working = list(compress(range(len(diffs)), diffs))
     if not working:
-        return padded, working, 0.0, "seq-finite", [], (), ()
+        return padded, working, 0.0, [], (), ()
 
     shares = list(compress(diffs, diffs))
     if strategy in ("auto", "finite"):
         eta = defect
         lambdas = list(map(truediv, shares, repeat(eta)))
         rs = map(truediv, map(mul, lambdas, repeat(eps)), repeat(2.0))
-        return padded, working, eta, "seq-finite", lambdas, rs, repeat(eps / 2.0)
+        return padded, working, eta, lambdas, rs, repeat(eps / 2.0)
     weights = tail_weights(diffs)
     eta = 2.0 * weights.w[0]
     ws = list(compress(weights.w, diffs))
     lambdas = list(map(truediv, shares, map(mul, repeat(eta), ws)))
     rs = map(mul, lambdas, repeat(eps))
-    return padded, working, eta, "seq-tail", lambdas, rs, map(mul, repeat(2.0), ws)
+    return padded, working, eta, lambdas, rs, map(mul, repeat(2.0), ws)
 
 
 def seq_split(
@@ -125,7 +125,7 @@ def seq_split(
 
     Raises FeasibilityError unless the l1 defect is strictly below eps^2/16.
     """
-    (xs, _, _), working, eta, scheme, lambdas, rs, big_rs = _padded_split(
+    (xs, _, _), working, eta, lambdas, rs, big_rs = _padded_split(
         x, y, z, eps, strategy
     )
     return AgreementSplit(
@@ -133,7 +133,6 @@ def seq_split(
         eta=eta,
         lambdas=dict(zip(working, lambdas)),
         radii=dict(zip(working, zip(rs, big_rs))),
-        scheme=scheme,
     )
 
 
@@ -152,7 +151,7 @@ def factor_seq(
     scheme below its shrinking radii whose first value is the defect root
     eta = 2 ||z - xy||_1^(1/2).
     """
-    (xs, ys, zs), working, eta, scheme, _, rs, big_rs = _padded_split(
+    (xs, ys, zs), working, eta, _, rs, big_rs = _padded_split(
         x, y, z, eps, strategy
     )
     u = list(xs)
@@ -167,7 +166,7 @@ def factor_seq(
         # Rounding starved an index whose budget holds analytically: r_k
         # underflowed, or the strict bound flipped by one ulp.
         d = Fraction(abs(zi - xi * yi))
-        if scheme == "seq-finite":  # r_k = d_k / eta * eps / 2
+        if strategy != "tail":  # FINITE: r_k = d_k / eta * eps / 2
             exact_r = d * Fraction(eps) / (2 * Fraction(eta))
         else:  # r_k = d_k / (eta w_k) * eps, with w_k = R_k / 2
             exact_r = 2 * d * Fraction(eps) / (Fraction(eta) * Fraction(big_r))

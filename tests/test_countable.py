@@ -12,7 +12,9 @@ from lpfactor import (
     MeasureSpace,
     SimpleFunction,
     agreement_split,
+    factor_bounded,
     factor_countable,
+    factor_general,
     norm,
     verify_certificate,
 )
@@ -131,12 +133,24 @@ class TestContracts:
         assert verify_certificate(instance, cert).passed
 
     def test_membership_enforced(self):
-        space = MeasureSpace.from_measures([INFINITE, 1.0])
-        f = SimpleFunction(space, (1.0, 1.0))  # not in L_2
-        g = SimpleFunction(space, (0.0, 1.0))
-        h = SimpleFunction(space, (0.0, 1.05))
-        with pytest.raises(ValueError):
-            factor_countable(f, g, h, 2, 1.0)
+        cases = (
+            # f is nonzero on an INFINITE atom: not in L_2
+            ([INFINITE, 1.0], (1.0, 1.0), (0.0, 1.0), (0.0, 1.05), (factor_countable,)),
+            # ||f||_2^2 = 1e620 overflows binary64; factor_bounded checks
+            # membership only on the quantized functions it solves
+            (
+                [1e40, 1.0],
+                (1e290, 1.0),
+                (0.0, 1.0),
+                (1e-300, 1.1),
+                (factor_countable, factor_bounded, factor_general),
+            ),
+        )
+        for measures, f, g, h, solvers in cases:
+            f, g, h = build(measures, f, g, h)
+            for solve in solvers:
+                with pytest.raises(ValueError, match="f has infinite norm"):
+                    solve(f, g, h, 2, 1.0)
 
 
 def random_instance(rng, p, n=None, scale=1.0):

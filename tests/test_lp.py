@@ -18,6 +18,7 @@ from lpfactor import (
     MeasureSpace,
     SimpleFunction,
     factor_bounded,
+    factor_countable,
     factor_general,
     gen_instance,
     norm,
@@ -107,66 +108,54 @@ class TestSelectParams:
 
 class TestQuantizeGrid:
     def test_round_toward_zero(self):
-        f = SimpleFunction(MeasureSpace.counting(1), (0.37,))
-        assert quantize_grid(f, 0.1).coefficients[0] == pytest.approx(0.3)
+        assert quantize_grid((0.37,), 0.1)[0] == pytest.approx(0.3)
 
     def test_negative_rounds_toward_zero(self):
-        f = SimpleFunction(MeasureSpace.counting(1), (-0.37,))
-        assert quantize_grid(f, 0.1).coefficients[0] == pytest.approx(-0.3)
+        assert quantize_grid((-0.37,), 0.1)[0] == pytest.approx(-0.3)
 
     def test_grid_points_are_fixed(self):
         delta = 0.1
         values = tuple(k * delta for k in (-5, -3, 0, 1, 4))
-        f = SimpleFunction(MeasureSpace.counting(5), values)
-        assert quantize_grid(f, delta).coefficients == values
+        assert quantize_grid(values, delta) == values
 
     def test_pointwise_error_and_shrinkage(self):
         rng = random.Random(8)
-        space = MeasureSpace.counting(200)
-        f = SimpleFunction(space, tuple(rng.uniform(-40, 40) for _ in range(200)))
+        f = tuple(rng.uniform(-40, 40) for _ in range(200))
         for delta in (1e-6, 0.01, 0.5, 3.0):
             fq = quantize_grid(f, delta)
-            for a, b in zip(f.coefficients, fq.coefficients):
+            for a, b in zip(f, fq):
                 assert abs(a - b) <= delta * (1 + 1e-12)
                 assert abs(b) <= abs(a)
 
     def test_subresolution_grid_is_identity(self):
         # more than 2^53 steps to either value: a double cannot tell the
         # nearest grid point from the value itself
-        f = SimpleFunction(MeasureSpace.counting(2), (1e6, -3.7))
-        assert quantize_grid(f, 1e-17).coefficients == (1e6, -3.7)
+        assert quantize_grid((1e6, -3.7), 1e-17) == (1e6, -3.7)
 
 
 class TestQuantizeGeometric:
     def test_zero_stays_zero(self):
-        h = SimpleFunction(MeasureSpace.counting(1), (0.0,))
-        assert quantize_geometric(h, 0.5, 1.0).coefficients == (0.0,)
+        assert quantize_geometric((0.0,), 0.5, 1.0) == (0.0,)
 
     def test_snaps_down_to_geometric_level(self):
-        h = SimpleFunction(MeasureSpace.counting(1), (0.75,))
-        out = quantize_geometric(h, 0.5, 1.0)
-        assert out.coefficients[0] == pytest.approx(0.5, rel=1e-15)
+        out = quantize_geometric((0.75,), 0.5, 1.0)
+        assert out[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_negative_branch(self):
-        h = SimpleFunction(MeasureSpace.counting(1), (-0.75,))
-        out = quantize_geometric(h, 0.5, 1.0)
-        assert out.coefficients[0] == pytest.approx(-0.5, rel=1e-15)
+        out = quantize_geometric((-0.75,), 0.5, 1.0)
+        assert out[0] == pytest.approx(-0.5, rel=1e-15)
 
     def test_exceeding_bound_rejected(self):
-        h = SimpleFunction(MeasureSpace.counting(1), (1.5,))
         with pytest.raises(ValueError):
-            quantize_geometric(h, 0.5, 1.0)
+            quantize_geometric((1.5,), 0.5, 1.0)
 
     def test_ratio_band_random(self):
         rng = random.Random(77)
-        space = MeasureSpace.counting(50)
         for d in (0.3, 0.9, 0.999, 1 - 1e-9, 1 - 1e-15):
             m = 10.0
-            h = SimpleFunction(
-                space, tuple(rng.uniform(-m, m) for _ in range(50))
-            )
+            h = tuple(rng.uniform(-m, m) for _ in range(50))
             out = quantize_geometric(h, d, m)
-            for a, b in zip(h.coefficients, out.coefficients):
+            for a, b in zip(h, out):
                 if a == 0:
                     assert b == 0
                     continue
@@ -175,16 +164,16 @@ class TestQuantizeGeometric:
                 assert abs(a - b) <= (1 - d) * m * (1 + 1e-9)
 
     def test_subresolution_ratio_is_identity(self):
-        h = SimpleFunction(MeasureSpace.counting(2), (0.123, -7.5))
+        h = (0.123, -7.5)
         d = 1 - Fraction(1, 10**30)
-        assert quantize_geometric(h, d, 10.0).coefficients == h.coefficients
+        assert quantize_geometric(h, d, 10.0) is h
 
     def test_bracket_search_far_from_the_estimate_settles(self):
         # The estimate from logarithms falls more than 10^4 levels short of
         # the first level with m * d^j <= |h|, where d^j is subnormal; the
         # search gallops up to it.
-        h = SimpleFunction(MeasureSpace.counting(2), (2.2e-308, -2.2e-308))
-        a, b = quantize_geometric(h, 0.9999999999928164, 4565630326465358.0).coefficients
+        h = (2.2e-308, -2.2e-308)
+        a, b = quantize_geometric(h, 0.9999999999928164, 4565630326465358.0)
         assert 0.0 < a < 4565630326465358.0
         assert b == -a
 
@@ -294,9 +283,12 @@ class TestFactorBounded:
                 continue
             cert = factor_bounded(f, g, h, p, 1.0)
             params = cert.params
-            f_q = quantize_grid(f, params.delta)
-            g_q = quantize_grid(g, params.delta)
-            h_q = quantize_geometric(h, params.d, params.m)
+            space = f.space
+            f_q = SimpleFunction(space, quantize_grid(f.coefficients, params.delta))
+            g_q = SimpleFunction(space, quantize_grid(g.coefficients, params.delta))
+            h_q = SimpleFunction(
+                space, quantize_geometric(h.coefficients, params.d, params.m)
+            )
             assert norm_diff(f, f_q, p) < params.eps1
             assert norm_diff(g, g_q, q) < params.eps1
             fg = pointwise_product(f, g)
@@ -416,6 +408,17 @@ class TestFactorGeneral:
         with pytest.raises(FeasibilityError):
             factor_general(f, g, h, 2, 1.0)
 
+    def test_envelope_integral_overflow_keeps_every_live_atom(self):
+        # ||f||_2 = 1e155, ||h||_1 = 2.11 and the defect 0.11 is below 1/4,
+        # but the envelope |f|^2 mu reaches 1e310: no truncation level can
+        # be computed, so the core keeps every live working atom.
+        f, g, h = build(
+            [1e10, 1.0], [1e150, 1.0], [1e-160, 1.0], [1e150 * 1e-160 + 1e-12, 1.1]
+        )
+        cert = factor_general(f, g, h, 2, 1.0)
+        instance = LpInstance(f=f, g=g, h=h, p=Exponent(2), eps=1.0)
+        assert verify_certificate(instance, cert).passed
+
     def test_null_atom_with_huge_value_survives(self):
         # |g|^q overflows a double on the null atom; it must not disturb
         # the truncation, and the off-core split keeps the product exact.
@@ -443,3 +446,26 @@ class TestFactorGeneral:
         assert first.u == second.u
         assert first.v == second.v
         assert first.params == second.params
+
+
+@pytest.mark.parametrize("solve", [factor_general, factor_bounded, factor_countable])
+def test_p_infinity_is_the_transposed_p_one_solve(solve):
+    # p = oo is answered by solving (g, f, h) at p = 1 and exchanging the
+    # roles of u and v, closed-ball flags and parameters included.
+    for seed in range(8):
+        spec = InstanceSpec(
+            kind="lp",
+            n=(1, 5, 40)[seed % 3],
+            eps=(0.5, 1.0, 2.0)[seed % 3],
+            defect_fraction=0.8,
+            seed=seed,
+            p="inf",
+            infinite_atoms=seed % 2,
+        )
+        inst = gen_instance(spec)
+        cert = solve(inst.f, inst.g, inst.h, INFINITE, inst.eps)
+        ref = solve(inst.g, inst.f, inst.h, 1, inst.eps)
+        assert (cert.u, cert.v) == (ref.v, ref.u)
+        assert (cert.radius_u, cert.radius_v) == (ref.radius_v, ref.radius_u)
+        assert (cert.strict_u, cert.strict_v) == (ref.strict_v, ref.strict_u)
+        assert cert.params == ref.params
