@@ -14,15 +14,13 @@ scalar kernel does the rest.
 With counting measure (all atom measures 1) this specializes to the
 sequence spaces l_p x l_q.
 
-Validation happens once, at the public edge: the ``SimpleFunction``
-constructors have already checked that every coefficient is finite and
-every measure valid, so ``factor_countable`` only checks membership (f in
-L_p, g in L_q, h in L_1), through the cheap sufficient bound of
-``norm_is_finite``, and answers p = oo by the certificate's one swap.  The
-construction itself, ``_countable``, runs on trusted coefficient and measure
-tuples, which is how the L_p pipeline calls it on its quantized core.  The
-per-atom work runs on bare floats: the Lemma-2 loop calls ``scalar._split``
-directly, without a ``ScalarBox`` or ``ScalarFactorPair`` per atom.
+The ``SimpleFunction`` constructors have already checked that every
+coefficient is finite and every measure valid, so ``factor_countable`` only
+checks membership (f in L_p, g in L_q, h in L_1), through the cheap
+sufficient bound of ``norm_is_finite``, and answers p = oo by the
+certificate's one swap.  The per-atom work runs on bare floats: the Lemma-2
+loop calls ``scalar._split`` directly, without a ``ScalarBox`` or
+``ScalarFactorPair`` per atom.
 """
 from __future__ import annotations
 
@@ -48,7 +46,6 @@ from .scalar import factor_scalar  # noqa: F401  (traced here by bench/spans.py)
 __all__ = ["AgreementSplit", "agreement_split", "factor_countable"]
 
 _L1 = Exponent(1)
-_CONTEXT = "countable factorization"
 
 
 @dataclass(frozen=True)
@@ -107,25 +104,6 @@ def check_memberships(fs, gs, hs, measures, p: Exponent) -> None:
             raise ValueError(f"{name} has infinite norm; not a member of its space")
 
 
-def _radii(defects, outside, eta: float, p: Exponent, eps: float):
-    """The kernel radii (r_k) and (R_k) along the atoms outside E, as iterators."""
-    # The radius ratio lambda_k / mu(A_k) reduces to |z_k - x_k y_k| / eta:
-    # the measure cancels, so compute it that way, immune to the spurious
-    # under/overflow a share / eta / mu round trip can suffer.  eta_scale
-    # guards the all-shares-subnormal edge where eta itself rounds to zero
-    # while the atoms still need positive radii.
-    shares = list(compress(defects, outside))
-    eta_scale = max(eta, len(shares) * 5e-324)
-    ratios = list(map(truediv, shares, repeat(eta_scale)))
-    inv_q = conjugate(p).reciprocal()
-    if inv_q == 0.0:  # p = 1: r_k = lambda_k eps / mu(A_k), R_k = eps
-        big_rs = repeat(eps)
-    else:
-        big_rs = map(mul, repeat(eps), map(pow, ratios, repeat(inv_q)))
-        ratios = map(pow, ratios, repeat(p.reciprocal()))
-    return map(mul, repeat(eps), ratios), big_rs
-
-
 def agreement_split(
     f: SimpleFunction,
     g: SimpleFunction,
@@ -147,10 +125,28 @@ def agreement_split(
         raise ValueError("eps must be positive")
     measures = f.space.measures
     defects, outside, eta = split_defects(
-        f.coefficients, g.coefficients, h.coefficients, measures, eps, _CONTEXT
+        f.coefficients,
+        g.coefficients,
+        h.coefficients,
+        measures,
+        eps,
+        "countable factorization",
     )
-    rs, big_rs = _radii(defects, outside, eta, p, eps)
     working = list(compress(range(len(defects)), outside))
+    # The radius ratio lambda_k / mu(A_k) reduces to |z_k - x_k y_k| / eta:
+    # the measure cancels, so compute it that way, immune to the spurious
+    # under/overflow a share / eta / mu round trip can suffer.  eta_scale
+    # guards the all-shares-subnormal edge where eta itself rounds to zero
+    # while the atoms still need positive radii.
+    eta_scale = max(eta, len(working) * 5e-324)
+    ratios = list(map(truediv, compress(defects, outside), repeat(eta_scale)))
+    inv_q = conjugate(p).reciprocal()
+    if inv_q == 0.0:  # p = 1: r_k = lambda_k eps / mu(A_k), R_k = eps
+        big_rs = repeat(eps)
+    else:
+        big_rs = map(mul, repeat(eps), map(pow, ratios, repeat(inv_q)))
+        ratios = map(pow, ratios, repeat(p.reciprocal()))
+    rs = map(mul, repeat(eps), ratios)
     if eta > 0:  # lambda_k = |z_k - x_k y_k| mu(A_k) / eta
         shares = map(mul, compress(defects, outside), compress(measures, outside))
         lambdas = map(truediv, shares, repeat(eta))
@@ -183,29 +179,14 @@ def factor_countable(
     if p.is_infinite:
         return factor_countable(g, f, h, _L1, eps).transposed()
     fs, gs, hs = f.coefficients, g.coefficients, h.coefficients
-    measures = f.space.measures
-    check_memberships(fs, gs, hs, measures, p)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    u, v = _countable(fs, gs, hs, measures, p, eps)
-    return FactorizationCertificate(
-        u=u, v=v, radius_u=eps, radius_v=eps, strict_u=True, strict_v=p.value != 1
-    )
-
-
-def _countable(fs, gs, hs, measures, p: Exponent, eps: float):
-    """The countable construction on trusted tuples: the lists (u, v).
-
-    p is finite, eps positive, and f, g, h members of their spaces.
-    """
-    defects, outside, eta = split_defects(fs, gs, hs, measures, eps, _CONTEXT)
-    rs, big_rs = _radii(defects, outside, eta, p, eps)
+    check_memberships(fs, gs, hs, f.space.measures, p)
+    split = agreement_split(f, g, h, p, eps)
     u = list(fs)
     v = list(gs)
-    for i in compress(range(len(fs)), map(not_, outside)):
+    for i in split.agree:
         u[i], v[i] = copy_pair(fs[i], gs[i], hs[i])
     inf = math.inf
-    for i, r, big_r in zip(compress(range(len(fs)), outside), rs, big_rs):
+    for i, (r, big_r) in split.radii.items():
         x, y, z = fs[i], gs[i], hs[i]
         if 0.0 < r < inf and 0.0 < big_r < inf:
             pair = _split(x, y, r, big_r, z)
@@ -217,7 +198,9 @@ def _countable(fs, gs, hs, measures, p: Exponent, eps: float):
         # ulp): split by exact division against the larger coordinate, or
         # fall back to a power split when both coordinates are negligible.
         u[i], v[i] = _starved_pair(x, y, z, p, eps)
-    return u, v
+    return FactorizationCertificate(
+        u=u, v=v, radius_u=eps, radius_v=eps, strict_u=True, strict_v=p.value != 1
+    )
 
 
 def _starved_pair(x: float, y: float, z: float, p: Exponent, eps: float):

@@ -18,16 +18,16 @@ When a grid is finer than double precision can resolve, quantization
 degenerates to the identity, which is exactly the correctly rounded result
 of the true grid.
 
-Validation happens once, at the public edge: the ``SimpleFunction`` and
+Validation happens at the public edges: the ``SimpleFunction`` and
 ``MeasureSpace`` constructors check finiteness and measures,
 ``factor_general`` checks membership (f in L_p, g in L_q, h in L_1) through
 the cheap sufficient bound of ``norm_is_finite``, and p = oo is answered by
-the certificate's one swap.  Between the stages only trusted tuples pass:
-coefficients, measures and the defects already computed.  The general stage
-hands its core to ``_bounded``, which quantizes with ``quantize_grid`` and
+the certificate's one swap.  Both public pipelines hand ``_bounded`` plain
+tuples: coefficients, measures, the flagged atoms and the defect already
+computed.  ``_bounded`` quantizes with ``quantize_grid`` and
 ``quantize_geometric`` (coefficient tuples in, coefficient tuples out) and
-solves with ``countable._countable``, so no space or function object is
-rebuilt and no check is re-run on data already valid.
+solves the quantized problem with the public ``factor_countable``, which
+checks membership of the quantized functions.
 """
 from __future__ import annotations
 
@@ -40,10 +40,9 @@ from typing import Optional, Sequence, Union
 
 from .certificates import FactorizationCertificate
 from .countable import (
-    _countable,
     check_memberships,
     copy_pair,
-    factor_countable,  # noqa: F401  (bench/spans.py traces calls through this name)
+    factor_countable,
     l1_defect,
     split_defects,
 )
@@ -51,11 +50,11 @@ from .errors import FeasibilityError
 from .measure import (
     INFINITE,
     Exponent,
+    MeasureSpace,
     SimpleFunction,
     conjugate,
     fsum_or_inf,
     norm,  # noqa: F401  (bench/spans.py traces calls through this name)
-    norm_is_finite,
     pow_or_inf,
     truncate_support,
 )
@@ -334,16 +333,14 @@ def snap_to_gamma_grid(value: float, gamma: float, cap: float) -> float:
     return math.copysign((k + 1) * gamma, 1.0 if value >= 0 else -1.0)
 
 
-def _bounded(fs, gs, hs, measures, core, defect, p, eps, u, v, check=False):
+def _bounded(fs, gs, hs, measures, core, defect, p, eps, u, v):
     """Quantize, solve and repair on the atoms flagged in ``core``.
 
     The stage shared by the two public pipelines, on trusted tuples.  Every
     core atom has a nonzero defect and a nonzero measure, ``defect`` is
     their L1 defect, already below eps^2/4, and p is finite.  Writes the
     factors of the core atoms into the lists u and v and returns the
-    parameters, or None when no atom is flagged.  ``check`` tests
-    membership on the quantized functions before the countable solve, for
-    inputs that were not checked before.
+    parameters, or None when no atom is flagged.
     """
     if not any(core):
         return None
@@ -359,15 +356,20 @@ def _bounded(fs, gs, hs, measures, core, defect, p, eps, u, v, check=False):
     f_q = quantize_grid(f_c, params.delta)
     g_q = quantize_grid(g_c, params.delta)
     h_q = quantize_geometric(h_c, params.d, m)
-    if check:
-        check_memberships(f_q, g_q, h_q, mus, p)
-    inner_u, inner_v = _countable(f_q, g_q, h_q, mus, p, params.eps_bar)
+    space = MeasureSpace.from_measures(mus)
+    inner = factor_countable(
+        SimpleFunction(space, f_q),
+        SimpleFunction(space, g_q),
+        SimpleFunction(space, h_q),
+        p,
+        params.eps_bar,
+    )
     # alpha = h/h' in [1, 1/d] repairs the geometric quantization of h.
     repaired = [
         (target / snapped if snapped != 0.0 else 1.0) * w
-        for target, snapped, w in zip(h_c, h_q, inner_u)
+        for target, snapped, w in zip(h_c, h_q, inner.u)
     ]
-    for i, a, b in zip(compress(range(len(u)), core), repaired, inner_v):
+    for i, a, b in zip(compress(range(len(u)), core), repaired, inner.v):
         u[i] = a
         v[i] = b
     return params
@@ -406,7 +408,7 @@ def factor_bounded(
     v = list(gs)
     for i in compress(range(len(fs)), map(not_, outside)):
         u[i], v[i] = copy_pair(fs[i], gs[i], hs[i])
-    params = _bounded(fs, gs, hs, measures, outside, defect, p, eps, u, v, check=True)
+    params = _bounded(fs, gs, hs, measures, outside, defect, p, eps, u, v)
     return FactorizationCertificate(
         u=u, v=v, radius_u=eps, radius_v=eps, params=params
     )
@@ -469,8 +471,7 @@ def factor_general(
     # where the extensions handle them measure-free.
     mag_f = list(map(mul, map(abs, fs), outside))
     mag_h = list(map(mul, map(abs, hs), outside))
-    # Saturation: a power, the tail budget or the envelope's integral leaves
-    # the double range.
+    # Saturation: a power or the tail budget leaves the double range.
     if q.is_infinite:  # p = 1: control |f| and |h| on the core
         envelope = list(map(max, mag_f, mag_h))
         tail_budget = min(gamma, gamma * gamma)
@@ -491,20 +492,19 @@ def factor_general(
         budgets = (pow_or_inf(gamma, p_f), pow_or_inf(gamma, q_f))
         saturated = saturated or 0.0 in budgets or INFINITE in budgets
         tail_budget = min(budgets)
-    if (
-        saturated
-        or tail_budget < 1e-290
-        or not norm_is_finite(envelope, measures, _L1)
-    ):
-        # The exponents push the tail budget or the envelope outside what
-        # binary64 can represent; the only truncation whose tails provably
-        # cost nothing is the one that keeps every positive-measure atom.
-        core = outside
-    else:
-        trunc = truncate_support(SimpleFunction(f.space, envelope), tail_budget)
-        core = [False] * len(fs)
-        for i in trunc.kept_indices:
-            core[i] = True
+    # When the exponents push the tail budget or the envelope outside what
+    # binary64 can represent, the only truncation whose tails provably cost
+    # nothing is the one that keeps every positive-measure atom.
+    core = outside
+    if not (saturated or tail_budget < 1e-290):
+        try:
+            trunc = truncate_support(SimpleFunction(f.space, envelope), tail_budget)
+        except ValueError:  # the envelope's integral overflows
+            pass
+        else:
+            core = [False] * len(fs)
+            for i in trunc.kept_indices:
+                core[i] = True
 
     core_defect = l1_defect(defects, measures, core)
     params = _bounded(fs, gs, hs, measures, core, core_defect, p, delta, u, v)
