@@ -18,17 +18,19 @@ The ``SimpleFunction`` constructors have already checked that every
 coefficient is finite and every measure valid, so ``factor_countable`` only
 checks membership (f in L_p, g in L_q, h in L_1), through the cheap
 sufficient bound of ``norm_is_finite``, and answers p = oo by the
-certificate's one swap.  The per-atom work runs on bare floats: the Lemma-2
-loop calls ``scalar._split`` directly, without a ``ScalarBox`` or
-``ScalarFactorPair`` per atom.
+certificate's one swap.  ``scalar._split_atoms`` runs the per-atom work on
+bare floats.  An atom whose float radii starve the kernel gets the checked
+fallback, against rational lower bounds of its true radii; if one lies
+below the smallest double, no double meets it and FeasibilityError says so.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress, repeat
 from operator import and_, mul, not_, sub, truediv, truth
-from typing import Sequence, Union
+from typing import Union
 
 from .certificates import FactorizationCertificate
 from .errors import FeasibilityError
@@ -36,11 +38,11 @@ from .measure import (
     Exponent,
     SimpleFunction,
     conjugate,
-    fsum_or_inf,
+    l1_defect,
     norm,  # noqa: F401  (bench/spans.py traces calls through this name)
     norm_is_finite,
 )
-from .scalar import _split
+from .scalar import _split_atoms
 from .scalar import factor_scalar  # noqa: F401  (traced here by bench/spans.py)
 
 __all__ = ["AgreementSplit", "agreement_split", "factor_countable"]
@@ -72,19 +74,27 @@ def split_defects(fs, gs, hs, measures, eps: float, context: str):
     defects = list(map(abs, map(sub, hs, map(mul, fs, gs))))
     outside = list(map(and_, map(truth, defects), map(truth, measures)))
     eta = l1_defect(defects, measures, outside)
-    bound = eps * eps / 4.0
+    bound = (eps / 2.0) * (eps / 2.0)  # eps * eps overflows before the bound
     if not eta < bound:
         raise FeasibilityError(eta, bound, context=context)
     return defects, outside, eta
 
 
-def l1_defect(defects: Sequence[float], measures: Sequence[float], mask) -> float:
-    """The fsum of defect times measure over the masked atoms.
+def _eta_scale(eta: float, n: int) -> float:
+    """eta, kept positive when n atoms' subnormal shares round it to zero."""
+    return max(eta, n * 5e-324)
 
-    The mask excludes null atoms before multiplying, so an overflowed defect
-    never meets a zero measure as inf * 0.
+
+def _power_floor(t: Fraction, expo: float) -> Fraction:
+    """A rational lower bound of t^(1/p), within 2^-31 relative; expo = 1/p.
+
+    Why it lies below: expo is 1/p correctly rounded, |log2 t| < 2^12 and
+    libm's log2 is within an ulp, so x errs by under 1e-11 < 2^-32, the part
+    taken off; libm's pow is within an ulp (2^-52) on [1, 2), below 2^-50.
     """
-    return fsum_or_inf(map(mul, compress(defects, mask), compress(measures, mask)))
+    x = expo * (math.log2(t.numerator) - math.log2(t.denominator)) - 2.0**-32
+    k = math.floor(x)
+    return Fraction(2.0 ** (x - k) - 2.0**-50) * Fraction(2) ** k
 
 
 def copy_pair(x: float, y: float, z: float):
@@ -138,7 +148,7 @@ def agreement_split(
     # under/overflow a share / eta / mu round trip can suffer.  eta_scale
     # guards the all-shares-subnormal edge where eta itself rounds to zero
     # while the atoms still need positive radii.
-    eta_scale = max(eta, len(working) * 5e-324)
+    eta_scale = _eta_scale(eta, len(working))
     ratios = list(map(truediv, compress(defects, outside), repeat(eta_scale)))
     inv_q = conjugate(p).reciprocal()
     if inv_q == 0.0:  # p = 1: r_k = lambda_k eps / mu(A_k), R_k = eps
@@ -185,43 +195,17 @@ def factor_countable(
     v = list(gs)
     for i in split.agree:
         u[i], v[i] = copy_pair(fs[i], gs[i], hs[i])
-    inf = math.inf
-    for i, (r, big_r) in split.radii.items():
-        x, y, z = fs[i], gs[i], hs[i]
-        if 0.0 < r < inf and 0.0 < big_r < inf:
-            pair = _split(x, y, r, big_r, z)
-            if pair is not None:
-                u[i], v[i], _ = pair
-                continue
-        # Rounding starved an atom whose budget holds analytically (the
-        # radius under- or overflowed, or the strict bound flipped by one
-        # ulp): split by exact division against the larger coordinate, or
-        # fall back to a power split when both coordinates are negligible.
-        u[i], v[i] = _starved_pair(x, y, z, p, eps)
+    scale = _eta_scale(split.eta, len(split.radii))
+
+    def exact_radii(d, _):  # r = eps (d/scale)^(1/p), R = eps (d/scale)^(1/q)
+        eps_q, t = Fraction(eps), Fraction(d) / Fraction(scale)
+        if p.value == 1:  # exact, with R = eps
+            return eps_q * t, eps_q
+        inv_q = conjugate(p).reciprocal()
+        return eps_q * _power_floor(t, p.reciprocal()), eps_q * _power_floor(t, inv_q)
+
+    _split_atoms(fs, gs, hs, split.radii.items(), exact_radii, "countable atom", u, v)
     return FactorizationCertificate(
         u=u, v=v, radius_u=eps, radius_v=eps, strict_u=True, strict_v=p.value != 1
     )
 
-
-def _starved_pair(x: float, y: float, z: float, p: Exponent, eps: float):
-    """An exact split for an atom whose kernel radii collapsed in floats.
-
-    Only reachable when |z - xy| is many orders below the instance defect,
-    so any pair with correspondingly negligible distances is admissible.
-    """
-    big = max(abs(x), abs(y))
-    d = abs(z - x * y)
-    if big > 0.0 and d <= big * big:
-        # The correction |d / big| is no larger than big, and in the
-        # starved regime far smaller than any radius in play.
-        if abs(x) >= abs(y):
-            return x, z / x
-        return z / y, y
-    # Both coordinates are below sqrt(d): every quantity here is tiny.
-    if p.value != 1:
-        inv_p = p.reciprocal()
-        inv_q = conjugate(p).reciprocal()
-        t = abs(z)
-        return t**inv_p, (math.copysign(t**inv_q, z) if z != 0 else 0.0)
-    divisor = math.copysign(min(1.0, eps) / 2.0, z if z != 0 else 1.0)
-    return z / divisor, divisor

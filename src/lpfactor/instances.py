@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import mul, sub
+from operator import and_, mul, sub, truth
 from typing import Union
 
-from .measure import INFINITE, Exponent, MeasureSpace, SimpleFunction, fsum_or_inf
+from .measure import INFINITE, Exponent, MeasureSpace, SimpleFunction
+from .measure import fsum_or_inf, l1_defect
 
 __all__ = [
     "LpInstance",
@@ -77,21 +78,14 @@ class LpInstance:
 
     def defect(self) -> float:
         """The L1 distance between h and fg, summed atom by atom."""
-        terms = []
-        for x, y, z, m in zip(
-            self.f.coefficients,
-            self.g.coefficients,
-            self.h.coefficients,
-            self.space.measures,
-        ):
-            d = abs(z - x * y)
-            if d == 0.0 or m == 0.0:
-                continue
-            terms.append(d * m)
-        return fsum_or_inf(terms)
+        fs, gs, hs = self.f.coefficients, self.g.coefficients, self.h.coefficients
+        measures = self.space.measures
+        defects = list(map(abs, map(sub, hs, map(mul, fs, gs))))
+        mask = list(map(and_, map(truth, defects), map(truth, measures)))
+        return l1_defect(defects, measures, mask)
 
     def feasibility_bound(self) -> float:
-        return self.eps * self.eps / 4.0
+        return (self.eps / 2.0) * (self.eps / 2.0)
 
     def to_json(self) -> dict:
         return {
@@ -140,7 +134,7 @@ class SeqInstance:
         return fsum_or_inf(map(abs, map(sub, z, map(mul, x, y))))
 
     def feasibility_bound(self) -> float:
-        return self.eps * self.eps / 16.0
+        return (self.eps / 4.0) * (self.eps / 4.0)
 
     def to_json(self) -> dict:
         return {

@@ -39,13 +39,7 @@ from operator import and_, mul, not_, truth
 from typing import Optional, Sequence, Union
 
 from .certificates import FactorizationCertificate
-from .countable import (
-    check_memberships,
-    copy_pair,
-    factor_countable,
-    l1_defect,
-    split_defects,
-)
+from .countable import check_memberships, copy_pair, factor_countable, split_defects
 from .errors import FeasibilityError
 from .measure import (
     INFINITE,
@@ -54,6 +48,7 @@ from .measure import (
     SimpleFunction,
     conjugate,
     fsum_or_inf,
+    l1_defect,
     norm,  # noqa: F401  (bench/spans.py traces calls through this name)
     pow_or_inf,
     truncate_support,
@@ -128,7 +123,7 @@ def select_params(
     """
     if not isinstance(p, Exponent):
         p = Exponent(p)
-    bound = eps * eps / 4.0
+    bound = (eps / 2.0) * (eps / 2.0)
     if not defect < bound:
         raise FeasibilityError(defect, bound, context="parameter selection")
     if m <= 0:
@@ -450,7 +445,7 @@ def factor_general(
 
     # Inner radius and tail budget: midpoint of (2 sqrt(defect), eps), then
     # half of gamma's admissible supremum (eps - delta)/2.
-    bound = eps * eps / 4.0
+    bound = (eps / 2.0) * (eps / 2.0)
     delta = (2.0 * math.sqrt(defect) + eps) / 2.0
     guard = 0
     while not defect < delta * delta / 4.0:
@@ -521,6 +516,8 @@ def factor_general(
             divisor = snap_to_gamma_grid(gs[i], gamma, g_sup)
             v[i] = divisor
             u[i] = hs[i] / divisor
+            if math.isinf(u[i]) and not measures[i]:  # a null atom fits any split
+                u[i], v[i] = copy_pair(fs[i], gs[i], hs[i])
     else:
         inv_p, inv_q = 1.0 / p_f, 1.0 / q_f
         for i in off_atoms:

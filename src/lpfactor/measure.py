@@ -43,6 +43,15 @@ def fsum_or_inf(terms) -> float:
         return INFINITE
 
 
+def l1_defect(defects: Sequence[float], measures: Sequence[float], mask) -> float:
+    """The fsum of defect times measure over the masked atoms.
+
+    The mask excludes null atoms before multiplying, so an overflowed defect
+    never meets a zero measure as inf * 0.
+    """
+    return fsum_or_inf(map(mul, compress(defects, mask), compress(measures, mask)))
+
+
 def pow_or_inf(base: float, expo: float) -> float:
     """base ** expo, saturating to INFINITE instead of raising on overflow."""
     try:

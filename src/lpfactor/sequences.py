@@ -14,9 +14,10 @@ schemes are implemented:
 AUTO resolves to FINITE, which gives the sharper flat sup bound eps/2.
 
 The inputs are padded once; defects, weights and radii are built in C-level
-passes, and the per-index loop runs on bare floats: it calls
-``scalar._split`` directly, without a ``ScalarBox`` or ``ScalarFactorPair``
-per index.
+passes, and ``scalar._split_atoms`` runs the per-index loop on bare floats.
+An index whose float radii starve the kernel gets the checked fallback,
+against its exact rational r_k; if r_k lies below the smallest double, no
+double meets it and FeasibilityError says so.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .certificates import FactorizationCertificate
 from .measure import fsum_or_inf
 from .countable import AgreementSplit
 from .errors import FeasibilityError
-from .scalar import _split
+from .scalar import _split_atoms
 from .scalar import factor_scalar  # noqa: F401  (traced here by bench/spans.py)
 
 __all__ = ["TailWeights", "tail_weights", "seq_split", "factor_seq", "STRATEGIES"]
@@ -93,7 +94,7 @@ def _padded_split(x, y, z, eps, strategy):
     diffs = tuple(map(abs, map(sub, zs, map(mul, xs, ys))))
     # Zero terms leave an exact sum unchanged.
     defect = fsum_or_inf(diffs)
-    bound = eps * eps / 16.0
+    bound = (eps / 4.0) * (eps / 4.0)  # eps * eps overflows before the bound
     if not defect < bound:
         raise FeasibilityError(defect, bound, context="sequence factorization")
     working = list(compress(range(len(diffs)), diffs))
@@ -156,58 +157,17 @@ def factor_seq(
     )
     u = list(xs)
     v = list(ys)
-    for i, r, big_r in zip(working, rs, big_rs):
-        xi, yi, zi = xs[i], ys[i], zs[i]
-        if r > 0 and big_r > 0:
-            pair = _split(xi, yi, r, big_r, zi)
-            if pair is not None:
-                u[i], v[i], _ = pair
-                continue
-        # Rounding starved an index whose budget holds analytically: r_k
-        # underflowed, or the strict bound flipped by one ulp.
-        d = Fraction(abs(zi - xi * yi))
-        if strategy != "tail":  # FINITE: r_k = d_k / eta * eps / 2
-            exact_r = d * Fraction(eps) / (2 * Fraction(eta))
-        else:  # r_k = d_k / (eta w_k) * eps, with w_k = R_k / 2
-            exact_r = 2 * d * Fraction(eps) / (Fraction(eta) * Fraction(big_r))
-        u[i], v[i] = _starved_pair(xi, yi, zi, exact_r, big_r, i)
+
+    def exact_radii(d, big_r):
+        r = Fraction(d) * Fraction(eps) / Fraction(eta)
+        if strategy == "tail":  # r_k = d_k / (eta w_k) * eps, with w_k = R_k / 2
+            return 2 * r / Fraction(big_r), Fraction(big_r)
+        return r / 2, Fraction(big_r)  # FINITE: r_k = d_k / eta * eps / 2
+
+    _split_atoms(
+        xs, ys, zs, zip(working, zip(rs, big_rs)), exact_radii, "sequence index", u, v
+    )
     return FactorizationCertificate(
         u=tuple(u), v=tuple(v), radius_u=eps, radius_v=eps
     )
 
-
-def _starved_pair(x: float, y: float, z: float, r: Fraction, big_r: float, i: int):
-    """An exact split for an index whose float radii starved the kernel.
-
-    r is the exact r_k, which need not be a double.  The candidates are
-    exact division by x, then by y, then the balanced split of the radii
-    (u from logarithms, v = z / u); the first that meets |u - x| < r_k and
-    |v - y| < R_k, checked exactly, is returned.  Raises FeasibilityError
-    when none does.
-    """
-    big = Fraction(big_r)
-    candidates = []
-    if x != 0.0:
-        candidates.append((x, z / x))
-    if y != 0.0:
-        candidates.append((z / y, y))
-    ratio = Fraction(abs(z)) * r / big
-    if ratio > 0:
-        log_u = (math.log(ratio.numerator) - math.log(ratio.denominator)) / 2.0
-        try:
-            u = math.exp(log_u)
-        except OverflowError:  # then u exceeds r_k too
-            u = 0.0
-        if u > 0.0:
-            candidates.append((u, z / u))
-    for u, v in candidates:
-        if _closer(u, x, r) and _closer(v, y, big):
-            return u, v
-    raise FeasibilityError(
-        abs(z - x * y), float(r * big / 4), context=f"sequence index {i}"
-    )
-
-
-def _closer(a: float, b: float, radius: Fraction) -> bool:
-    """|a - b| < radius, exactly."""
-    return math.isfinite(a) and abs(Fraction(a) - Fraction(b)) < radius

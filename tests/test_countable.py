@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lpfactor import scalar
 from lpfactor import (
     INFINITE,
     Exponent,
@@ -75,9 +76,12 @@ class TestExamples:
         assert verify_certificate(instance, cert).passed
 
     def test_infeasible_defect_raises(self):
-        f, g, h = build([1.0], [0], [0], [0.26])
-        with pytest.raises(FeasibilityError):
-            factor_countable(f, g, h, 2, 1.0)
+        # the second case: eps^2 = 4e308 overflows, eps^2/4 = 1e308 does not
+        for target, eps in ((0.26, 1.0), (1.5e308, 2e154)):
+            f, g, h = build([1.0], [0], [0], [target])
+            for solve in (factor_countable, factor_bounded, factor_general):
+                with pytest.raises(FeasibilityError):
+                    solve(f, g, h, 2, eps)
 
     def test_boundary_defect_raises(self):
         f, g, h = build([1.0], [0], [0], [0.25])
@@ -120,16 +124,87 @@ class TestContracts:
         instance = LpInstance(f=f, g=g, h=h, p=Exponent(2), eps=1.0)
         assert verify_certificate(instance, cert).passed
 
-    def test_starved_radii_fall_back_to_exact_division(self):
-        # the defect on the second atom is so many orders below the first
-        # that its radius underflows; exact division against the larger
-        # coordinate still yields a verifiable certificate
-        f, g, h = build(
-            [1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [1.05, 6.0 + 1e-305]
-        )
-        cert = factor_countable(f, g, h, 3, 1.0)
-        assert cert.u[1] == 2.0
-        instance = LpInstance(f=f, g=g, h=h, p=Exponent(3), eps=1.0)
+    def test_starved_radii_fall_back_to_exact_division(self, monkeypatch):
+        # d_1 / eta = 1e-320 / 5000 rounds to 0, so both float radii of
+        # atom 1 vanish; the checked fallback keeps u_1 = x_1 and divides
+        # exactly, within the true radii 1000 (d_1/eta)^(1/3) and ^(2/3).
+        calls = []
+        checked = scalar._checked_pair
+
+        def spy(*args):
+            calls.append(args[-1])
+            return checked(*args)
+
+        monkeypatch.setattr(scalar, "_checked_pair", spy)
+        f, g, h = build([1.0, 1.0], [1.0, 1.0], [1.0, 0.0], [5001.0, 1e-320])
+        cert = factor_countable(f, g, h, 3, 1000.0)
+        assert calls == ["countable atom 1"]
+        assert (cert.u[1], cert.v[1]) == (1.0, 1e-320)
+        instance = LpInstance(f=f, g=g, h=h, p=Exponent(3), eps=1000.0)
+        assert verify_certificate(instance, cert).passed
+
+    @pytest.mark.parametrize(
+        "solve, measures, f, g, h, p, eps",
+        [
+            # the parent's unchecked fallback broke the u side
+            (
+                factor_countable,
+                [8.459540539565908e282, 5.983108466210933e-19],
+                [-4.68693374240696e-159, -3.168159533777339e-187],
+                [9.601066020510583e-184, -3.040024821231858e-186],
+                [5.065236037866876e-206, 4.0958296506261466e192],
+                1,
+                3.2638590515886543e87,
+            ),
+            # ... the v side
+            (
+                factor_countable,
+                [1.9077223516714735e267, 4.8468388484165107e260],
+                [-7.754790552999086e52, 8.597160017408028e39],
+                [-6.030888929610128e-228, 0.0],
+                [-1.940554791952985e-22, -1.6602806956203305e-91],
+                "inf",
+                4.9011142088491586e123,
+            ),
+            # ... and, inside factor_general, the u side by 1.6e77 against 1.6e58
+            (
+                factor_general,
+                [3.605911325051425e-185, 2.5005979651891676e261],
+                [0.0, -1.7106359205986164e-269],
+                [4.594123848879654e-212, 2.0676650393984603e-188],
+                [1.8011458737694778e300, -0.0],
+                1.5,
+                1.6375613332165327e58,
+            ),
+        ],
+    )
+    def test_starved_atom_is_checked_against_its_true_radii(
+        self, solve, measures, f, g, h, p, eps
+    ):
+        f, g, h = build(measures, f, g, h)
+        cert = solve(f, g, h, p, eps)
+        instance = LpInstance(f=f, g=g, h=h, p=Exponent(p), eps=eps)
+        assert verify_certificate(instance, cert).passed
+
+    def test_underflowed_balanced_split_verifies(self):
+        # x_1 = y_1 = 0, r_1 = 1e10 * 1e-320 / 1e10 and R_1 = 1e10: the
+        # balanced u_1 = 1e-325 underflows and rounds up to 5e-324 < r_1
+        f, g, h = build([1.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1e10 + 1.0, 1e-320])
+        cert = factor_countable(f, g, h, 1, 1e10)
+        assert cert.u[1] == 5e-324
+        instance = LpInstance(f=f, g=g, h=h, p=Exponent(1), eps=1e10)
+        assert verify_certificate(instance, cert).passed
+
+    @pytest.mark.xfail(
+        raises=FeasibilityError,
+        strict=True,
+        reason="x_1 = 0 and the true r_1 = 1e10 * 1e-320 / (1e19 - 1) lies "
+        "below 5e-324, so no double u_1 meets |u_1 - x_1| < r_1",
+    )
+    def test_starved_radius_below_the_least_double(self):
+        f, g, h = build([1.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1e19, 1e-320])
+        cert = factor_countable(f, g, h, 1, 1e10)
+        instance = LpInstance(f=f, g=g, h=h, p=Exponent(1), eps=1e10)
         assert verify_certificate(instance, cert).passed
 
     def test_membership_enforced(self):

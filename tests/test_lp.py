@@ -428,6 +428,16 @@ class TestFactorGeneral:
         instance = LpInstance(f=f, g=g, h=h, p=Exponent(3), eps=1.0)
         assert verify_certificate(instance, cert).passed
 
+    def test_null_atom_quotient_overflow_splits_exactly(self):
+        # at p = oo the swapped p = 1 tail divides h_0 = 6.5e213 by a
+        # gamma-grid divisor near 1e-96; the null atom takes the exact
+        # square-root split instead of an infinite u_0
+        f, g, h = build([0.0], [0.0], [3.404436456961571e69], [6.54204607355549e213])
+        cert = factor_general(f, g, h, "inf", 3.38532990434595e-95)
+        assert all(map(math.isfinite, cert.u + cert.v))
+        instance = LpInstance(f=f, g=g, h=h, p=Exponent("inf"), eps=3.38532990434595e-95)
+        assert verify_certificate(instance, cert).passed
+
     def test_p_infinity_by_symmetry(self):
         spec = InstanceSpec(
             kind="lp", n=20, eps=1.0, defect_fraction=0.7, seed=5, p="inf"

@@ -1,12 +1,14 @@
 """The three-case scalar factorization kernel."""
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpfactor import FeasibilityError, ScalarBox, factor_scalar
+from lpfactor.scalar import _checked_pair
 
 
 class TestExamples:
@@ -106,3 +108,22 @@ class TestGuarantees:
             ScalarBox(0, 0, 0.0, 1.0)
         with pytest.raises(ValueError):
             ScalarBox(0, 0, 1.0, -2.0)
+
+
+class TestCheckedFallback:
+    """The starved-atom fallback: the three constructions, checked exactly."""
+
+    def test_first_construction_within_both_radii_wins(self):
+        # the radii are rationals far below any double's reach of x * y
+        r, R = Fraction(1, 10**400), Fraction(1, 10**5)
+        assert _checked_pair(2.0, 3.0, 6.0 + 2**-50, r, R, "here") == (2.0, 3.0 + 2**-51)
+        # x = 0 skips exact division by x
+        assert _checked_pair(0.0, 4.0, 1e-320, Fraction(1, 10**300), R, "here") == (
+            1e-320 / 4.0,
+            4.0,
+        )
+
+    def test_radius_below_the_least_double_is_refused(self):
+        # every candidate puts u_0 at or above 5e-324, beyond r = 1e-330
+        with pytest.raises(FeasibilityError, match="in atom 7"):
+            _checked_pair(0.0, 1.0, 1e-320, Fraction(1, 10**330), Fraction(10**10), "atom 7")

@@ -91,9 +91,12 @@ class TestExamples:
         assert verify_certificate(instance, cert).passed
 
     def test_infeasible_rejected(self):
-        with pytest.raises(FeasibilityError) as err:
-            factor_seq((0,), (0,), (0.0625,), 1.0)
-        assert err.value.bound == 0.0625
+        # the second case: eps^2 = 1.96e308 overflows, eps^2/16 does not
+        for z, eps, bound in ((0.0625, 1.0, 0.0625), (1e308, 1.4e154, 3.5e153**2)):
+            for strategy in ("finite", "tail"):
+                with pytest.raises(FeasibilityError) as err:
+                    factor_seq((0,), (0,), (z,), eps, strategy)
+                assert err.value.bound == bound
 
     def test_auto_is_finite(self):
         auto = factor_seq((1, 2), (1, 1), (1.03, 2.01), 1.0, "auto")
