@@ -14,6 +14,7 @@ parameter is pinned deterministically: eps1 by 64-step bisection, the grid
 steps at half their admissible supremum, and the geometric ratio d at the
 midpoint of its feasible interval, kept as an exact rational because the
 feasible interval can sit closer to 1 than floating point can represent.
+Its bounds are compared as integer ratios; one ``Fraction`` normalizes d.
 When a grid is finer than double precision can resolve, quantization
 degenerates to the identity, which is exactly the correctly rounded result
 of the true grid.
@@ -66,7 +67,6 @@ __all__ = [
 
 _TINY = 5e-324  # smallest positive double; keeps "half the sup bound" positive
 _GRID_LIMIT = 2.0**53  # beyond this many grid steps a double cannot resolve one
-_ONE = Fraction(1)
 _L1 = Exponent(1)
 
 
@@ -119,7 +119,7 @@ def select_params(
     bound (the caller computes m).  eps1 is found by bisection against
     ``eps1 + sqrt(4 defect + 8 eps1) < eps`` and set to half the feasible
     supremum; delta to half its admissible bound; d to the midpoint of its
-    feasible interval, computed in exact rational arithmetic.
+    feasible interval, computed exactly from integer ratios.
     """
     if not isinstance(p, Exponent):
         p = Exponent(p)
@@ -153,21 +153,26 @@ def select_params(
     )
     delta = max(delta_bound / 2.0, _TINY)
 
-    # Both constraints on d are of the form 1 - d < s_max; work with
-    # s = 1 - d exactly, since s_max can be far below one ulp of 1.0.
-    m_squared = Fraction(m) ** 2
-    s_flat = Fraction(eps1) / m_squared
+    # Both constraints on d are 1 - d < s_max, s_max maybe far below one ulp
+    # of 1.0: compare s = 1 - d exactly, as integer ratios cross-multiplied.
+    m2n, m2d = (k * k for k in m.as_integer_ratio())  # m^2
     margin = eps - eps1 - eps_bar  # > 0 whenever eps1 was admissible
     if margin <= 0:
         raise FeasibilityError(defect, bound, context="parameter selection")
     growth = pow_or_inf(m, 1.0 + inv_p)
     if math.isinf(growth):
-        denom = m_squared + 1  # >= m^(1+1/p) once m >= 1
+        dn, dd = m2n + m2d, m2d  # m^2 + 1 >= m^(1+1/p) once m >= 1
     else:
-        denom = Fraction(growth) + Fraction(eps - eps1)
-    s_slope = Fraction(margin) / denom
-    s_star = min(s_flat, s_slope, _ONE)
-    d = 1 - s_star / 2
+        gn, gd = growth.as_integer_ratio()
+        rn, rd = (eps - eps1).as_integer_ratio()
+        dn, dd = gn * rd + rn * gd, gd * rd
+    en, ed = eps1.as_integer_ratio()
+    sn, sd = en * m2d, ed * m2n  # s_flat = eps1 / m^2
+    an, ad = margin.as_integer_ratio()
+    if an * dd * sd < sn * ad * dn:  # s_slope = margin / (growth + eps - eps1)
+        sn, sd = an * dd, ad * dn
+    # d = 1 - s/2; s <= s_slope <= 1, since margin <= eps - eps1 <= the divisor.
+    d = Fraction(2 * sd - sn, 2 * sd)
     return QuantizationParams(m=m, eps1=eps1, delta=delta, d=d, eps_bar=eps_bar)
 
 
@@ -459,7 +464,7 @@ def factor_general(
         raise FeasibilityError(defect, bound, context="general factorization")
 
     q = conjugate(p)
-    p_f, q_f = float(p), (math.inf if q.is_infinite else float(q))
+    p_f, q_f = float(p), float(q)
     # The envelope steers the truncation.  It is zero off the atoms outside
     # E, which truncate_support ignores: null atoms are invisible to every
     # integral (and their powers may overflow), so they land off the core,

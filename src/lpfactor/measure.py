@@ -7,14 +7,15 @@ distinguished value ``INFINITE`` (``math.inf``) is allowed as an atom measure;
 it is never produced by arithmetic, and the measure-theoretic convention
 ``0 * INFINITE = 0`` is applied throughout.
 
-Exponents live in [1, oo] and are stored as exact rationals (``Fraction``)
-when finite so that conjugation is an exact involution.
+Exponents live in [1, oo], finite ones as exact rationals (``Fraction``) so
+that conjugation is an exact involution; float(p), 1/p and the conjugate,
+shared by value, are fixed when an exponent is built.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import mul, truediv
@@ -131,51 +132,66 @@ class MeasureSpace:
 # ---------------------------------------------------------------------------
 # Exponents and conjugation
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
+# The conjugate of each exponent value built so far; emptied at 256 entries.
+_CONJUGATES: dict = {}
+
+
+@dataclass(frozen=True, slots=True)
 class Exponent:
     """A norm exponent p in [1, oo].
 
     Finite values are normalized to exact ``Fraction``s (conversion from a
     float is exact), which makes ``conjugate(conjugate(p)) == p`` hold
-    exactly rather than merely to rounding.
+    exactly rather than merely to rounding.  ``float(p)`` (in double range),
+    the rounded ``1/p`` and the conjugate, shared by value, are fixed when built.
     """
 
     value: Union[Fraction, float]
+    _float: float = field(init=False, repr=False, compare=False)
+    _inverse: float = field(init=False, repr=False, compare=False)
+    _conjugate: "Exponent" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = self.value
         if isinstance(v, str):
             v = INFINITE if v == "inf" else Fraction(v)
         if isinstance(v, float) and math.isinf(v):
-            object.__setattr__(self, "value", INFINITE)
-            return
-        if not isinstance(v, Fraction):
+            v, inverse = INFINITE, 0.0
+        else:
             v = Fraction(v)
-        if v < 1:
-            raise ValueError(f"exponent must lie in [1, oo], got {v}")
+            if v.numerator < v.denominator:
+                raise ValueError(f"exponent must lie in [1, oo], got {v}")
+            inverse = v.denominator / v.numerator  # 1/p, correctly rounded
         object.__setattr__(self, "value", v)
+        object.__setattr__(self, "_float", float(v))
+        object.__setattr__(self, "_inverse", inverse)
+        q = _CONJUGATES.get(v)
+        if q is None:
+            if len(_CONJUGATES) >= 256:
+                _CONJUGATES.clear()
+            conj = 1 if v == INFINITE else INFINITE if v == 1 else v / (v - 1)
+            _CONJUGATES[conj] = self  # the partner built next finds self
+            q = _CONJUGATES[v] = Exponent(conj)
+        object.__setattr__(self, "_conjugate", q)
 
     @property
     def is_infinite(self) -> bool:
-        return isinstance(self.value, float) and math.isinf(self.value)
+        return self._float == INFINITE
 
     def __float__(self) -> float:
-        return float(self.value)
+        return self._float
 
     def reciprocal(self) -> float:
         """1/p as a float, with 1/oo = 0."""
-        if self.is_infinite:
-            return 0.0
-        # float(Fraction(1) / p): an int quotient, correctly rounded.
-        return self.value.denominator / self.value.numerator
+        return self._inverse
 
     def conjugate(self) -> "Exponent":
-        return conjugate(self)
+        return self._conjugate
 
     def to_json(self):
         if self.is_infinite:
             return "inf"
-        return float(self.value)
+        return self._float
 
 
 _L1 = Exponent(1)
@@ -185,16 +201,11 @@ def conjugate(p: Union[Exponent, float, int, Fraction]) -> Exponent:
     """The Hoelder conjugate q with 1/p + 1/q = 1.
 
     ``conjugate(1)`` is oo and ``conjugate(oo)`` is 1; the involution is exact
-    because finite exponents are handled as rationals.
+    because finite exponents are handled as rationals.  Calls share one object.
     """
     if not isinstance(p, Exponent):
         p = Exponent(p)
-    if p.is_infinite:
-        return Exponent(1)
-    v = p.value
-    if v == 1:
-        return Exponent(INFINITE)
-    return Exponent(v / (v - 1))
+    return p._conjugate
 
 
 # ---------------------------------------------------------------------------

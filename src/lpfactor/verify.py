@@ -5,7 +5,8 @@ but the instance, the certificate and the norm definitions; no solver module
 is imported here, so a verdict can never inherit a solver bug.  The product
 comparison is relative with an absolute fallback for entries below 1; the
 norm comparisons are exact float comparisons against the promised radii,
-strict or closed per the certificate's flags.
+strict or closed per the certificate's flags.  A NaN product, or a
+difference that is not finite (an infinite distance), fails.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Union
 
 from .certificates import FactorizationCertificate
 from .instances import LpInstance, SeqInstance
-from .measure import SimpleFunction, conjugate, fsum_or_inf, norm
+from .measure import INFINITE, SimpleFunction, conjugate, fsum_or_inf, norm
 
 __all__ = ["VerificationReport", "verify_certificate"]
 
@@ -62,7 +63,9 @@ def _product_error(u, v, target) -> float:
             continue
         scale = abs(t)
         rel = err / scale if scale > 1.0 else err
-        if rel > worst:
+        if not rel <= worst:
+            if rel != rel:  # a NaN product fails outright
+                return rel
             worst = rel
     return worst
 
@@ -80,13 +83,19 @@ def _verify_lp(instance: LpInstance, certificate: FactorizationCertificate):
         )
     space = instance.space
     prod_err = _product_error(certificate.u, certificate.v, instance.h.coefficients)
-    du = SimpleFunction(
-        space, tuple(a - b for a, b in zip(certificate.u, instance.f.coefficients))
-    )
-    dv = SimpleFunction(
-        space, tuple(a - b for a, b in zip(certificate.v, instance.g.coefficients))
-    )
-    return prod_err, norm(du, instance.p), norm(dv, conjugate(instance.p))
+    du = tuple(map(sub, certificate.u, instance.f.coefficients))
+    dv = tuple(map(sub, certificate.v, instance.g.coefficients))
+    q = conjugate(instance.p)
+    return prod_err, _distance(space, du, instance.p), _distance(space, dv, q)
+
+
+def _distance(space, diffs: tuple, p) -> float:
+    """The L_p norm of a difference; INFINITE if one overflowed or is NaN."""
+    try:
+        diff = SimpleFunction(space, diffs)
+    except ValueError:  # the constructor's finiteness check
+        return INFINITE
+    return norm(diff, p)
 
 
 def _verify_seq(instance: SeqInstance, certificate: FactorizationCertificate):

@@ -88,6 +88,34 @@ class TestPipelineFiles:
         assert code == 3
         assert "fail" in out
 
+    @pytest.mark.parametrize(
+        "instance, u",
+        [
+            ({"kind": "seq", "x": [1, 1], "y": [1, 1], "z": [1, 1], "eps": 1.0}, [1, 1]),
+            (
+                {
+                    "kind": "lp",
+                    "space": {"atoms": [{"id": a, "measure": 1} for a in "ab"]},
+                    "f": [1, -1e308], "g": [1, 1], "h": [1, -1e308],
+                    "p": 2, "eps": 1.0,
+                },
+                [1, 1e308],
+            ),
+        ],
+    )
+    def test_verify_nan_or_overflow_exits_3(self, tmp_path, capsys, instance, u):
+        inst = tmp_path / "inst.json"
+        cert = tmp_path / "cert.json"
+        inst.write_text(json.dumps(instance))
+        payload = {"u": u, "v": [1, math.nan], "radius_u": 1.0, "radius_v": 1.0,
+                   "strict_u": True, "strict_v": True}
+        cert.write_text(json.dumps(payload))
+        code, out, _ = run(
+            capsys, "verify", "--instance", str(inst), "--certificate", str(cert)
+        )
+        assert code == 3
+        assert "verdict: fail" in out
+
     def test_factor_flags_override_instance(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         run(

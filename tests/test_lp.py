@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lpfactor
 from lpfactor import (
@@ -104,6 +106,84 @@ class TestSelectParams:
             p = rng.choice([1, 1.5, 2, 3, 17])
             params = select_params(defect, max(m, 1.0), p, eps)
             check_params(params, defect, eps, p)
+
+
+def reference_select_params(defect, m, p, eps):
+    """select_params with d in Fraction arithmetic, as it was first written."""
+    p = Exponent(p)
+    bound = (eps / 2.0) * (eps / 2.0)
+    if not defect < bound:
+        raise FeasibilityError(defect, bound, context="parameter selection")
+    lo, hi = 0.0, eps
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if mid + math.sqrt(4.0 * defect + 8.0 * mid) < eps:
+            lo = mid
+        else:
+            hi = mid
+    if lo == 0.0:
+        raise FeasibilityError(defect, bound, context="parameter selection")
+    eps1 = lo / 2.0
+    eps_bar = math.sqrt(4.0 * defect + 8.0 * eps1)
+    inv_p = float(Fraction(1) / p.value)
+    inv_q = 0.0 if p.value == 1 else float(1 - Fraction(1) / p.value)
+    pow_or_inf = lpfactor.measure.pow_or_inf
+    delta_bound = eps1 * min(
+        pow_or_inf(m, -inv_p), pow_or_inf(m, -inv_q) if inv_q else 1.0, 0.5 / m / m
+    )
+    delta = max(delta_bound / 2.0, 5e-324)
+    m_squared = Fraction(m) ** 2
+    s_flat = Fraction(eps1) / m_squared
+    margin = eps - eps1 - eps_bar
+    if margin <= 0:
+        raise FeasibilityError(defect, bound, context="parameter selection")
+    growth = pow_or_inf(m, 1.0 + inv_p)
+    if math.isinf(growth):
+        denom = m_squared + 1
+    else:
+        denom = Fraction(growth) + Fraction(eps - eps1)
+    s_star = min(s_flat, Fraction(margin) / denom, Fraction(1))
+    return eps1, delta, 1 - s_star / 2, eps_bar
+
+
+PS_FINITE = (1, 1.25, 1.5, 2, 3, 7)
+
+
+@st.composite
+def param_draws(draw):
+    p = draw(st.sampled_from(PS_FINITE))
+    eps = 10.0 ** draw(st.floats(-150.0, 150.0))
+    defect = draw(st.floats(0.0, 1.0, exclude_max=True)) * (eps / 2.0) ** 2
+    if draw(st.booleans()):
+        m = 10.0 ** draw(st.floats(-3.0, 300.0))
+    else:  # straddle the m where m^(1 + 1/p) leaves the double range
+        edge = math.exp(math.log(sys.float_info.max) / (1.0 + 1.0 / p))
+        m = edge * draw(st.floats(0.999999, 1.000001))
+    return defect, m, p, eps
+
+
+class TestSelectParamsMatchesFractionReference:
+    @settings(max_examples=400, deadline=None)
+    @given(param_draws())
+    @example((0.99 * 0.25, 1e7, 2, 1.0))
+    @example((0.0, 1e300, 1, 1e-150))
+    @example((0.0, 1.0, 1, 1e150))
+    @example((0.0, 1e-200, 1, 1e150))  # s = min(..., 1) = 1, d = 1/2
+    def test_same_params_bit_for_bit(self, draw):
+        defect, m, p, eps = draw
+        try:
+            expected = reference_select_params(defect, m, p, eps)
+        except FeasibilityError:
+            with pytest.raises(FeasibilityError):
+                select_params(defect, m, p, eps)
+            return
+        params = select_params(defect, m, p, eps)
+        eps1, delta, d, eps_bar = expected
+        assert type(params.d) is Fraction and params.d == d
+        assert params.d.as_integer_ratio() == d.as_integer_ratio()
+        got = (params.m, params.eps1, params.delta, params.eps_bar)
+        want = (m, eps1, delta, eps_bar)
+        assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
 
 
 class TestQuantizeGrid:

@@ -1,5 +1,7 @@
 """Norms, conjugation, products and support truncation."""
+import copy
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -117,6 +119,52 @@ class TestConjugate:
     def test_rejects_below_one(self):
         with pytest.raises(ValueError):
             Exponent(0.5)
+
+    def test_repeated_conjugates_are_one_object(self):
+        for p in (1, 1.5, 2, 3, INFINITE, Fraction(11, 10)):
+            e = Exponent(p)
+            assert e.conjugate() is e.conjugate() is conjugate(e)
+            assert conjugate(p) is conjugate(p)
+
+    @pytest.mark.parametrize(
+        "p, text, payload",
+        [
+            (1, "Exponent(value=Fraction(1, 1))", 1.0),
+            (1.5, "Exponent(value=Fraction(3, 2))", 1.5),
+            (Fraction(11, 10), "Exponent(value=Fraction(11, 10))", 1.1),
+            ("inf", "Exponent(value=inf)", "inf"),
+            (INFINITE, "Exponent(value=inf)", "inf"),
+        ],
+    )
+    def test_value_semantics(self, p, text, payload):
+        e = Exponent(p)
+        assert repr(e) == text
+        assert e.to_json() == payload
+        assert e == Exponent(e.value) and hash(e) == hash((e.value,))
+        assert e != Exponent(2) and e != e.value
+        for clone in (
+            *(pickle.loads(pickle.dumps(e, proto)) for proto in range(6)),
+            copy.copy(e),
+            copy.deepcopy(e),
+        ):
+            assert clone == e and hash(clone) == hash(e) and repr(clone) == text
+            assert clone.conjugate() == e.conjugate()
+            assert float(clone) == float(e) and clone.reciprocal() == e.reciprocal()
+
+    @given(
+        st.one_of(
+            st.floats(min_value=1.0, max_value=1e300),
+            st.fractions(min_value=1, max_value=10**6, max_denominator=10**30),
+        )
+    )
+    @example(1.0000001)
+    def test_floats_are_the_exact_values_rounded(self, p):
+        e = Exponent(p)
+        v = e.value
+        assert float(e) == float(v)
+        assert e.reciprocal() == v.denominator / v.numerator
+        assert conjugate(e).reciprocal() == (v.numerator - v.denominator) / v.numerator
+        assert not e.is_infinite and conjugate(conjugate(e)) == e
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,41 @@ class TestVerifier:
         )
         assert not verify_certificate(instance, open_ball).passed
 
+    @pytest.mark.parametrize("v", [(1.0, math.nan), (math.nan, 1.0), (math.nan, 1.5)])
+    def test_nan_product_fails_seq(self, v):
+        instance = SeqInstance(x=(1.0, 1.0), y=(1.0, 1.0), z=(1.0, 1.0), eps=1.0)
+        cert = FactorizationCertificate(u=(1.0, 1.0), v=v, radius_u=1.0, radius_v=1.0)
+        report = verify_certificate(instance, cert)
+        assert not report.passed and not report.product_ok
+        assert math.isnan(report.product_max_rel_error)
+
+    @pytest.mark.parametrize("v", [(1.0, math.nan), (math.nan, 1.0), (math.nan, 1.5)])
+    def test_nan_coefficient_fails_lp(self, v):
+        space = MeasureSpace.from_measures([1.0, 1.0])
+        ones = SimpleFunction(space, (1.0, 1.0))
+        instance = LpInstance(f=ones, g=ones, h=ones, p=Exponent(2), eps=1.0)
+        cert = FactorizationCertificate(u=(1.0, 1.0), v=v, radius_u=1.0, radius_v=1.0)
+        report = verify_certificate(instance, cert)
+        assert not report.passed and not report.product_ok and not report.v_side_ok
+        assert math.isnan(report.product_max_rel_error)
+        assert report.norm_v_dist == math.inf and report.norm_u_dist == 0.0
+
+    def test_overflowing_difference_is_an_infinite_distance(self):
+        space = MeasureSpace.from_measures([1.0, 1.0])
+        instance = LpInstance(
+            f=SimpleFunction(space, (1.0, -1e308)),
+            g=SimpleFunction(space, (1.0, -1.0)),
+            h=SimpleFunction(space, (1.0, -1e308)),
+            p=Exponent(2),
+            eps=1.0,
+        )
+        cert = FactorizationCertificate(
+            u=(1.0, 1e308), v=(1.0, -1.0), radius_u=1.0, radius_v=1.0
+        )
+        report = verify_certificate(instance, cert)
+        assert report.norm_u_dist == math.inf and not report.u_side_ok
+        assert report.product_ok and report.v_side_ok and not report.passed
+
     def test_never_imports_solver_code(self):
         source = inspect.getsource(lpfactor.verify)
         for solver_module in ("scalar", "countable", "lp", "sequences", "generate"):
