@@ -19,6 +19,7 @@ from .errors import FeasibilityError
 from .generate import InstanceSpec, gen_instance
 from .instances import LpInstance, SeqInstance, instance_from_json
 from .lp import factor_general
+from .measure import INFINITE
 from .scalar import ScalarBox, factor_scalar
 from .sequences import STRATEGIES, factor_seq
 from .verify import verify_certificate
@@ -58,12 +59,6 @@ def _cmd_lemma1(args) -> int:
     return EXIT_OK
 
 
-def _has_infinite_atoms(instance: LpInstance) -> bool:
-    import math
-
-    return any(math.isinf(m) for m in instance.space.measures)
-
-
 def _cmd_factor(args) -> int:
     data = _load_json(args.instance)
     if args.p is not None:
@@ -79,7 +74,7 @@ def _cmd_factor(args) -> int:
         return 1
     pipeline = args.pipeline
     if pipeline == "auto":
-        pipeline = "full" if _has_infinite_atoms(instance) else "countable"
+        pipeline = "full" if INFINITE in instance.space.measures else "countable"
     solver = factor_general if pipeline == "full" else factor_countable
     try:
         cert = solver(instance.f, instance.g, instance.h, instance.p, instance.eps)

@@ -14,14 +14,17 @@ scalar kernel does the rest.
 With counting measure (all atom measures 1) this specializes to the
 sequence spaces l_p x l_q.
 
-The ``SimpleFunction`` constructors have already checked that every
-coefficient is finite and every measure valid, so ``factor_countable`` only
-checks membership (f in L_p, g in L_q, h in L_1), through the cheap
-sufficient bound of ``norm_is_finite``, and answers p = oo by the
-certificate's one swap.  ``scalar._split_atoms`` runs the per-atom work on
-bare floats.  An atom whose float radii starve the kernel gets the checked
-fallback, against rational lower bounds of its true radii; if one lies
-below the smallest double, no double meets it and FeasibilityError says so.
+Every L_p solver enters through one checked edge, ``_lp_inputs``: a
+positive finite eps, and f, g and h on one space.  The ``SimpleFunction``
+constructors have already checked coefficients and measures, so
+``factor_countable`` only adds membership (f in L_p, g in L_q, h in L_1),
+through the cheap sufficient bound of ``norm_is_finite``, and answers p = oo
+by the certificate's one swap.  ``_tuple_split`` computes E, eta and the
+radii once, which ``agreement_split`` wraps and ``factor_countable`` hands
+to ``scalar._split_atoms`` for the per-atom work on bare floats.  An atom
+whose float radii starve the kernel gets the checked fallback, against
+rational lower bounds of its true radii; if one lies below the smallest
+double, no double meets it and FeasibilityError says so.
 """
 from __future__ import annotations
 
@@ -35,8 +38,10 @@ from typing import Union
 from .certificates import FactorizationCertificate
 from .errors import FeasibilityError
 from .measure import (
+    _L1,
     Exponent,
     SimpleFunction,
+    _same_space,
     conjugate,
     l1_defect,
     norm,  # noqa: F401  (bench/spans.py traces calls through this name)
@@ -46,8 +51,6 @@ from .scalar import _split_atoms
 from .scalar import factor_scalar  # noqa: F401  (traced here by bench/spans.py)
 
 __all__ = ["AgreementSplit", "agreement_split", "factor_countable"]
-
-_L1 = Exponent(1)
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,21 @@ class AgreementSplit:
     radii: dict
 
 
+def _lp_inputs(f: SimpleFunction, g: SimpleFunction, h: SimpleFunction, p, eps):
+    """The checked edge of every L_p solver: (fs, gs, hs, measures, p).
+
+    Coerces p to an ``Exponent`` and raises ValueError unless eps is
+    positive and finite (NaN fails too) and f, g and h share one space.
+    """
+    if not isinstance(p, Exponent):
+        p = Exponent(p)
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    _same_space(f, g)
+    _same_space(f, h)
+    return f.coefficients, g.coefficients, h.coefficients, f.space.measures, p
+
+
 def split_defects(fs, gs, hs, measures, eps: float, context: str):
     """The per-atom defects, the mask of atoms outside E, and eta.
 
@@ -78,11 +96,6 @@ def split_defects(fs, gs, hs, measures, eps: float, context: str):
     if not eta < bound:
         raise FeasibilityError(eta, bound, context=context)
     return defects, outside, eta
-
-
-def _eta_scale(eta: float, n: int) -> float:
-    """eta, kept positive when n atoms' subnormal shares round it to zero."""
-    return max(eta, n * 5e-324)
 
 
 def _power_floor(t: Fraction, expo: float) -> Fraction:
@@ -107,11 +120,49 @@ def copy_pair(x: float, y: float, z: float):
     return root, (math.copysign(root, z) if z != 0 else 0.0)
 
 
+def copy_pairs(fs, gs, hs, outside):
+    """u and v as lists of f and g, with every atom in E split exactly."""
+    u = list(fs)
+    v = list(gs)
+    for i in compress(range(len(fs)), map(not_, outside)):
+        u[i], v[i] = copy_pair(fs[i], gs[i], hs[i])
+    return u, v
+
+
 def check_memberships(fs, gs, hs, measures, p: Exponent) -> None:
     """Raise ValueError unless f is in L_p, g in L_q and h in L_1."""
     for name, coeffs, expo in (("f", fs, p), ("g", gs, conjugate(p)), ("h", hs, _L1)):
         if not norm_is_finite(coeffs, measures, expo):
             raise ValueError(f"{name} has infinite norm; not a member of its space")
+
+
+def _tuple_split(fs, gs, hs, measures, p: Exponent, eps: float):
+    """The split of a checked instance with finite p, on bare tuples.
+
+    Returns the per-atom defects, the mask of atoms outside E, eta, its
+    positive scale, and an iterator of (i, (r_i, R_i)) over the atoms
+    outside E, as ``scalar._split_atoms`` takes it.  Raises FeasibilityError
+    unless eta < eps^2/4.
+    """
+    defects, outside, eta = split_defects(
+        fs, gs, hs, measures, eps, "countable factorization"
+    )
+    working = compress(range(len(defects)), outside)
+    # The radius ratio lambda_k / mu(A_k) reduces to |z_k - x_k y_k| / eta:
+    # the measure cancels, so compute it that way, immune to the spurious
+    # under/overflow a share / eta / mu round trip can suffer.  The scale
+    # stays positive on the all-shares-subnormal edge, where eta itself
+    # rounds to zero while the atoms still need positive radii.
+    scale = max(eta, outside.count(True) * 5e-324)
+    ratios = list(map(truediv, compress(defects, outside), repeat(scale)))
+    inv_q = conjugate(p).reciprocal()
+    if inv_q == 0.0:  # p = 1: r_k = lambda_k eps / mu(A_k), R_k = eps
+        big_rs = repeat(eps)
+    else:
+        big_rs = map(mul, repeat(eps), map(pow, ratios, repeat(inv_q)))
+        ratios = map(pow, ratios, repeat(p.reciprocal()))
+    rs = map(mul, repeat(eps), ratios)
+    return defects, outside, eta, scale, zip(working, zip(rs, big_rs))
 
 
 def agreement_split(
@@ -127,36 +178,10 @@ def agreement_split(
     eps^2/4.  p must be finite (the p = oo entry point swaps arguments
     before splitting).
     """
-    if not isinstance(p, Exponent):
-        p = Exponent(p)
+    fs, gs, hs, measures, p = _lp_inputs(f, g, h, p, eps)
     if p.is_infinite:
         raise ValueError("agreement_split requires finite p; swap the factors")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    measures = f.space.measures
-    defects, outside, eta = split_defects(
-        f.coefficients,
-        g.coefficients,
-        h.coefficients,
-        measures,
-        eps,
-        "countable factorization",
-    )
-    working = list(compress(range(len(defects)), outside))
-    # The radius ratio lambda_k / mu(A_k) reduces to |z_k - x_k y_k| / eta:
-    # the measure cancels, so compute it that way, immune to the spurious
-    # under/overflow a share / eta / mu round trip can suffer.  eta_scale
-    # guards the all-shares-subnormal edge where eta itself rounds to zero
-    # while the atoms still need positive radii.
-    eta_scale = _eta_scale(eta, len(working))
-    ratios = list(map(truediv, compress(defects, outside), repeat(eta_scale)))
-    inv_q = conjugate(p).reciprocal()
-    if inv_q == 0.0:  # p = 1: r_k = lambda_k eps / mu(A_k), R_k = eps
-        big_rs = repeat(eps)
-    else:
-        big_rs = map(mul, repeat(eps), map(pow, ratios, repeat(inv_q)))
-        ratios = map(pow, ratios, repeat(p.reciprocal()))
-    rs = map(mul, repeat(eps), ratios)
+    defects, outside, eta, _, radii = _tuple_split(fs, gs, hs, measures, p, eps)
     if eta > 0:  # lambda_k = |z_k - x_k y_k| mu(A_k) / eta
         shares = map(mul, compress(defects, outside), compress(measures, outside))
         lambdas = map(truediv, shares, repeat(eta))
@@ -165,8 +190,8 @@ def agreement_split(
     return AgreementSplit(
         agree=frozenset(compress(range(len(defects)), map(not_, outside))),
         eta=eta,
-        lambdas=dict(zip(working, lambdas)),
-        radii=dict(zip(working, zip(rs, big_rs))),
+        lambdas=dict(zip(compress(range(len(defects)), outside), lambdas)),
+        radii=dict(radii),
     )
 
 
@@ -184,18 +209,12 @@ def factor_countable(
     is answered by swapping the two factors, solving at p = 1, and swapping
     back; the closed bound then sits on the u side.
     """
-    if not isinstance(p, Exponent):
-        p = Exponent(p)
+    fs, gs, hs, measures, p = _lp_inputs(f, g, h, p, eps)
     if p.is_infinite:
         return factor_countable(g, f, h, _L1, eps).transposed()
-    fs, gs, hs = f.coefficients, g.coefficients, h.coefficients
-    check_memberships(fs, gs, hs, f.space.measures, p)
-    split = agreement_split(f, g, h, p, eps)
-    u = list(fs)
-    v = list(gs)
-    for i in split.agree:
-        u[i], v[i] = copy_pair(fs[i], gs[i], hs[i])
-    scale = _eta_scale(split.eta, len(split.radii))
+    check_memberships(fs, gs, hs, measures, p)
+    _, outside, _, scale, radii = _tuple_split(fs, gs, hs, measures, p, eps)
+    u, v = copy_pairs(fs, gs, hs, outside)
 
     def exact_radii(d, _):  # r = eps (d/scale)^(1/p), R = eps (d/scale)^(1/q)
         eps_q, t = Fraction(eps), Fraction(d) / Fraction(scale)
@@ -204,8 +223,7 @@ def factor_countable(
         inv_q = conjugate(p).reciprocal()
         return eps_q * _power_floor(t, p.reciprocal()), eps_q * _power_floor(t, inv_q)
 
-    _split_atoms(fs, gs, hs, split.radii.items(), exact_radii, "countable atom", u, v)
+    _split_atoms(fs, gs, hs, radii, exact_radii, "countable atom", u, v)
     return FactorizationCertificate(
         u=u, v=v, radius_u=eps, radius_v=eps, strict_u=True, strict_v=p.value != 1
     )
-

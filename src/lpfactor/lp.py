@@ -20,12 +20,13 @@ degenerates to the identity, which is exactly the correctly rounded result
 of the true grid.
 
 Validation happens at the public edges: the ``SimpleFunction`` and
-``MeasureSpace`` constructors check finiteness and measures,
-``factor_general`` checks membership (f in L_p, g in L_q, h in L_1) through
-the cheap sufficient bound of ``norm_is_finite``, and p = oo is answered by
-the certificate's one swap.  Both public pipelines hand ``_bounded`` plain
-tuples: coefficients, measures, the flagged atoms and the defect already
-computed.  ``_bounded`` quantizes with ``quantize_grid`` and
+``MeasureSpace`` constructors check finiteness and measures, both pipelines
+enter through ``countable``'s one checked edge (a positive finite eps, one
+space), ``factor_general`` checks membership (f in L_p, g in L_q, h in L_1)
+through the cheap sufficient bound of ``norm_is_finite``, and p = oo is
+answered by the certificate's one swap.  Both pipelines hand ``_bounded``
+plain tuples: coefficients, measures, the flagged atoms and the defect
+already computed.  ``_bounded`` quantizes with ``quantize_grid`` and
 ``quantize_geometric`` (coefficient tuples in, coefficient tuples out) and
 solves the quantized problem with the public ``factor_countable``, which
 checks membership of the quantized functions.
@@ -40,9 +41,11 @@ from operator import and_, mul, not_, truth
 from typing import Optional, Sequence, Union
 
 from .certificates import FactorizationCertificate
-from .countable import check_memberships, copy_pair, factor_countable, split_defects
+from .countable import _lp_inputs, check_memberships, copy_pair, copy_pairs
+from .countable import factor_countable, split_defects
 from .errors import FeasibilityError
 from .measure import (
+    _L1,
     INFINITE,
     Exponent,
     MeasureSpace,
@@ -67,7 +70,6 @@ __all__ = [
 
 _TINY = 5e-324  # smallest positive double; keeps "half the sup bound" positive
 _GRID_LIMIT = 2.0**53  # beyond this many grid steps a double cannot resolve one
-_L1 = Exponent(1)
 
 
 @dataclass(frozen=True)
@@ -389,25 +391,14 @@ def factor_bounded(
     are routed around the pipeline untouched, so an exact instance returns
     (f, g) verbatim.  Both returned bounds are strict.
     """
-    if not isinstance(p, Exponent):
-        p = Exponent(p)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    fs, gs, hs, measures, p = _lp_inputs(f, g, h, p, eps)
     if p.is_infinite:
         return factor_bounded(g, f, h, _L1, eps).transposed()
-
-    fs, gs, hs = f.coefficients, g.coefficients, h.coefficients
-    measures = f.space.measures
     _, outside, defect = split_defects(
         fs, gs, hs, measures, eps, "bounded factorization"
     )
-
-    # The pipeline runs on the atoms outside E; the others keep an exact
-    # split.
-    u = list(fs)
-    v = list(gs)
-    for i in compress(range(len(fs)), map(not_, outside)):
-        u[i], v[i] = copy_pair(fs[i], gs[i], hs[i])
+    # Atoms in E keep an exact split; the pipeline runs on the others.
+    u, v = copy_pairs(fs, gs, hs, outside)
     params = _bounded(fs, gs, hs, measures, outside, defect, p, eps, u, v)
     return FactorizationCertificate(
         u=u, v=v, radius_u=eps, radius_v=eps, params=params
@@ -430,14 +421,9 @@ def factor_general(
     v = |h|^(1/q) sgn h, and for p = 1 by a gamma-grid divisor under g with
     u = h/v.  Both returned bounds are strict.
     """
-    if not isinstance(p, Exponent):
-        p = Exponent(p)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    fs, gs, hs, measures, p = _lp_inputs(f, g, h, p, eps)
     if p.is_infinite:
         return factor_general(g, f, h, _L1, eps).transposed()
-    fs, gs, hs = f.coefficients, g.coefficients, h.coefficients
-    measures = f.space.measures
     check_memberships(fs, gs, hs, measures, p)
     defects, outside, defect = split_defects(
         fs, gs, hs, measures, eps, "general factorization"

@@ -155,12 +155,12 @@ class Exponent:
         v = self.value
         if isinstance(v, str):
             v = INFINITE if v == "inf" else Fraction(v)
-        if isinstance(v, float) and math.isinf(v):
+        if not v >= 1:  # NaN and -oo as well
+            raise ValueError(f"exponent must lie in [1, oo], got {v}")
+        if v == INFINITE:
             v, inverse = INFINITE, 0.0
         else:
             v = Fraction(v)
-            if v.numerator < v.denominator:
-                raise ValueError(f"exponent must lie in [1, oo], got {v}")
             inverse = v.denominator / v.numerator  # 1/p, correctly rounded
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "_float", float(v))

@@ -39,11 +39,6 @@ class ScalarBox:
         if not (self.r > 0 and self.R > 0):
             raise ValueError("radii r and R must be positive")
 
-    @property
-    def reach(self) -> float:
-        """The guaranteed half-width rR/4 around xy."""
-        return self.r * self.R / 4.0
-
 
 @dataclass(frozen=True)
 class ScalarFactorPair:

@@ -109,6 +109,11 @@ def _verify_seq(instance: SeqInstance, certificate: FactorizationCertificate):
     prod_err = _product_error(cu, cv, zs)
     dist_u = fsum_or_inf(map(abs, map(sub, cu, xs)))
     dist_v = max(map(abs, map(sub, cv, ys)), default=0.0)
+    if prod_err != prod_err:  # a NaN factor, whose difference max may drop
+        if any(map(math.isnan, map(sub, cu, xs))):
+            dist_u = INFINITE
+        if any(map(math.isnan, map(sub, cv, ys))):
+            dist_v = INFINITE
     return prod_err, dist_u, dist_v
 
 

@@ -228,6 +228,29 @@ class TestContracts:
                     solve(f, g, h, 2, 1.0)
 
 
+@pytest.mark.parametrize(
+    "solve", [factor_countable, factor_bounded, factor_general, agreement_split]
+)
+@pytest.mark.parametrize("p", [1, 2, INFINITE])
+class TestCheckedEdge:
+    """The one input contract of the L_p solvers, checked before any work."""
+
+    @pytest.mark.parametrize("eps", [INFINITE, math.nan, 0.0, -1.0])
+    def test_eps_must_be_positive_and_finite(self, solve, p, eps):
+        f, g, h = build([1.0, 2.0, 3.0], [1.0] * 3, [1.0] * 3, [1.0, 1.0, 1.01])
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            solve(f, g, h, p, eps)
+
+    @pytest.mark.parametrize("measures", [[1.0, 2.0], [1.0, 2.0, 4.0]])
+    def test_functions_share_one_space(self, solve, p, measures):
+        f, g, h = build([1.0, 2.0, 3.0], [1.0] * 3, [1.0] * 3, [1.0, 1.0, 1.01])
+        space = MeasureSpace.from_measures(measures)
+        other = SimpleFunction(space, [1.0] * len(measures))
+        for args in ((f, other, h), (f, g, other)):
+            with pytest.raises(ValueError, match="different measure spaces"):
+                solve(*args, p, 1.0)
+
+
 def random_instance(rng, p, n=None, scale=1.0):
     n = n or rng.randint(1, 50)
     measures = [0.0 if rng.random() < 0.1 else rng.uniform(0.05, 10) for _ in range(n)]

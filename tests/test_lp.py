@@ -538,6 +538,61 @@ class TestFactorGeneral:
         assert first.params == second.params
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: select_params(0.0, 0.0, 2, 1.0), "m must be positive"),
+        (lambda: select_params(0.0, -1.0, 2, 1.0), "m must be positive"),
+        (lambda: quantize_grid((1.0,), 0.0), "delta must be positive"),
+        (lambda: quantize_grid((1.0,), -1.0), "delta must be positive"),
+        (lambda: quantize_geometric((0.5,), 1, 1.0), "d must lie strictly"),
+        (lambda: quantize_geometric((0.5,), 0.0, 1.0), "d must lie strictly"),
+        (lambda: quantize_geometric((0.5,), 0.5, 0.0), "m must be positive"),
+        (lambda: snap_to_gamma_grid(1.0, 0.0, 2.0), "gamma must be positive"),
+        # Each defect share is 1.7e-2, but the measures sum past the doubles.
+        (
+            lambda: factor_bounded(
+                *build([1.7e308, 1.7e308], [0.0, 0.0], [0.0, 0.0], [1e-310, 1e-310]),
+                2,
+                1.0,
+            ),
+            "bounded stage requires finite measure",
+        ),
+    ],
+)
+def test_public_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def assert_countable_then_general_certify(h, p, eps):
+    f, g, h = build([1.0], [0.0], [0.0], [h])
+    instance = LpInstance(f=f, g=g, h=h, p=Exponent(p), eps=eps)
+    assert verify_certificate(instance, factor_countable(f, g, h, p, eps)).passed
+    assert verify_certificate(instance, factor_general(f, g, h, p, eps)).passed
+
+
+@pytest.mark.xfail(
+    raises=FeasibilityError,
+    strict=True,
+    reason="2 sqrt(defect) rounds to eps, so the inner radius is eps, the tail "
+    "budget gamma is 0 and factor_general refuses a feasible instance",
+)
+@pytest.mark.parametrize("p", [1, 2, INFINITE])
+def test_general_refuses_when_the_defect_root_rounds_to_eps(p):
+    assert_countable_then_general_certify(math.nextafter(0.25, 0.0), p, 1.0)
+
+
+@pytest.mark.xfail(
+    raises=FeasibilityError,
+    strict=True,
+    reason="delta^2/4 underflows, the delta guard loop runs, and select_params "
+    "finds no representable eps1 for a feasible instance",
+)
+def test_general_refuses_a_subnormal_defect_at_a_tiny_eps():
+    assert_countable_then_general_certify(5e-324, 2, 5.6e-162)
+
+
 @pytest.mark.parametrize("solve", [factor_general, factor_bounded, factor_countable])
 def test_p_infinity_is_the_transposed_p_one_solve(solve):
     # p = oo is answered by solving (g, f, h) at p = 1 and exchanging the

@@ -120,6 +120,11 @@ class TestConjugate:
         with pytest.raises(ValueError):
             Exponent(0.5)
 
+    @pytest.mark.parametrize("bad", [-INFINITE, "-inf"])
+    def test_rejects_negative_infinity(self, bad):
+        with pytest.raises(ValueError):
+            Exponent(bad)
+
     def test_repeated_conjugates_are_one_object(self):
         for p in (1, 1.5, 2, 3, INFINITE, Fraction(11, 10)):
             e = Exponent(p)

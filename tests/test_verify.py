@@ -104,6 +104,22 @@ class TestVerifier:
         assert not report.passed and not report.product_ok
         assert math.isnan(report.product_max_rel_error)
 
+    @pytest.mark.parametrize(
+        "u, v, dists",
+        [
+            ((1.0, math.nan), (1.0, 1.0), (math.inf, 0.0)),
+            ((1.0, 1.0), (1.0, math.nan), (0.0, math.inf)),
+        ],
+    )
+    def test_nan_factor_is_an_infinite_seq_distance(self, u, v, dists):
+        # max drops a NaN that is not its first argument; a side with a NaN
+        # difference reads INFINITE, as on LP instances
+        instance = SeqInstance(x=(1.0, 1.0), y=(1.0, 1.0), z=(1.0, 1.0), eps=1.0)
+        cert = FactorizationCertificate(u=u, v=v, radius_u=1.0, radius_v=1.0)
+        report = verify_certificate(instance, cert)
+        assert (report.norm_u_dist, report.norm_v_dist) == dists
+        assert (report.u_side_ok, report.v_side_ok) == tuple(d == 0.0 for d in dists)
+
     @pytest.mark.parametrize("v", [(1.0, math.nan), (math.nan, 1.0), (math.nan, 1.5)])
     def test_nan_coefficient_fails_lp(self, v):
         space = MeasureSpace.from_measures([1.0, 1.0])
