@@ -1,16 +1,20 @@
 """The acceptance sweep: quantitative reproduction of every guarantee.
 
-Each criterion is a standalone runner returning a CriterionResult; the
-``sweep`` CLI subcommand and the pytest acceptance module both call these.
-All randomness is seeded, so reruns are reproducible.
+Each ``criterion_N`` measures one guarantee and returns its failures, its
+total and a detail line.  ``CRITERIA`` is the sweep's one table: each number
+maps to its runner, name, runtime bound and smoke volume, and
+``run_criterion`` is the one place that times a runner, applies its bound and
+builds the ``CriterionResult``.  The ``sweep`` CLI subcommand and the pytest
+acceptance module both go through it.  All randomness is seeded, so reruns
+are reproducible.
 """
 from __future__ import annotations
 
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .certificates import FactorizationCertificate
 from .errors import FeasibilityError
@@ -23,9 +27,12 @@ from .sequences import factor_seq, tail_weights
 from .countable import factor_countable
 from .verify import verify_certificate
 
-__all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA"]
+__all__ = ["Criterion", "CriterionResult", "run_criterion", "run_all", "CRITERIA"]
 
 BASE_SEED = 0x1F5EED
+
+# What a criterion measured: failures, total and a detail line.
+Measured = Tuple[int, int, str]
 
 
 @dataclass
@@ -46,23 +53,15 @@ class CriterionResult:
         )
 
     def to_json(self) -> dict:
-        return {
-            "criterion": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "seconds": self.seconds,
-            "failures": self.failures,
-            "total": self.total,
-        }
+        payload = asdict(self)
+        return {"criterion": payload.pop("number"), **payload}
 
 
 # ---------------------------------------------------------------------------
 # 1. Scalar kernel sweep
 # ---------------------------------------------------------------------------
-def criterion_1(seed: int = BASE_SEED) -> CriterionResult:
+def criterion_1(seed: int = BASE_SEED) -> Measured:
     """Full grid sweep of the scalar kernel with strict radius checks."""
-    start = time.perf_counter()
     rng = random.Random(seed)
     grid = [i * 0.25 - 3.0 for i in range(25)]
     radii = (0.5, 1.0, 2.0)
@@ -94,38 +93,14 @@ def criterion_1(seed: int = BASE_SEED) -> CriterionResult:
                         )
                         if not ok:
                             failures += 1
-    seconds = time.perf_counter() - start
-    passed = failures == 0 and seconds < 5.0
-    return CriterionResult(
-        1,
-        "scalar kernel sweep",
-        passed,
-        f"{total} calls, {failures} failures, runtime bound 5 s",
-        seconds,
-        failures,
-        total,
-    )
+    return failures, total, f"{total} calls, {failures} failures"
 
 
 # ---------------------------------------------------------------------------
-# 2. L_p pipeline at the eps^2/4 constant
+# 2. L_p pipeline at the eps^2/4 constant, and
+# 4. uniformity: norms scaled to [1e3, 1e6], eps pinned at 1
 # ---------------------------------------------------------------------------
-def _lp_round_trip(spec: InstanceSpec) -> bool:
-    instance = gen_instance(spec)
-    cert = factor_general(instance.f, instance.g, instance.h, instance.p, instance.eps)
-    if not (cert.strict_u and cert.strict_v):
-        return False
-    return verify_certificate(instance, cert).passed
-
-
-def criterion_2(
-    seed: int = BASE_SEED,
-    per_p: int = 10000,
-    scaled: bool = False,
-    number: int = 2,
-    name: str = "L_p factorization at eps^2/4",
-) -> CriterionResult:
-    start = time.perf_counter()
+def _lp_sweep(seed: int, per_p: int, scaled: bool) -> Measured:
     ps = (1, 1.5, 2, 3)
     total = per_p * len(ps)
 
@@ -142,30 +117,27 @@ def criterion_2(
             scale_min=1e3 if scaled else 1.0,
             scale_max=1e6 if scaled else 1.0,
         )
-        return 0 if _lp_round_trip(spec) else 1
+        instance = gen_instance(spec)
+        cert = factor_general(instance.f, instance.g, instance.h, instance.p, instance.eps)
+        ok = cert.strict_u and cert.strict_v and verify_certificate(instance, cert).passed
+        return 0 if ok else 1
 
     failures = sum(map(one, range(total)))
-    seconds = time.perf_counter() - start
-    limit_ok = seconds < 60.0 if not scaled else True
-    passed = failures == 0 and limit_ok
-    runtime_note = ", runtime bound 60 s" if not scaled else ""
-    return CriterionResult(
-        number,
-        name,
-        passed,
-        f"{total} instances across p in {ps}, {failures} failures{runtime_note}",
-        seconds,
-        failures,
-        total,
-    )
+    return failures, total, f"{total} instances across p in {ps}, {failures} failures"
+
+
+def criterion_2(seed: int = BASE_SEED, per_p: int = 10000) -> Measured:
+    return _lp_sweep(seed, per_p, scaled=False)
+
+
+def criterion_4(seed: int = BASE_SEED, per_p: int = 10000) -> Measured:
+    return _lp_sweep(seed + 2, per_p, scaled=True)
 
 
 # ---------------------------------------------------------------------------
 # 3. Sequence pipeline at the eps^2/16 constant
 # ---------------------------------------------------------------------------
-def criterion_3(seed: int = BASE_SEED, count: int = 10000) -> CriterionResult:
-    start = time.perf_counter()
-
+def criterion_3(seed: int = BASE_SEED, count: int = 10000) -> Measured:
     def one(i: int) -> int:
         knobs = random.Random(seed + 15485863 + 13 * i)
         spec = InstanceSpec(
@@ -193,40 +165,19 @@ def criterion_3(seed: int = BASE_SEED, count: int = 10000) -> CriterionResult:
                     bad += 1
         return bad
 
-    total = count * 2
     failures = sum(map(one, range(count)))
-    seconds = time.perf_counter() - start
-    return CriterionResult(
-        3,
-        "l1 x c0 factorization at eps^2/16",
-        failures == 0,
+    return (
+        failures,
+        count * 2,
         f"{count} instances x 2 strategies, {failures} failures; "
         "sup bounds eps/2 (finite) and eta (tail) enforced",
-        seconds,
-        failures,
-        total,
     )
-
-
-# ---------------------------------------------------------------------------
-# 4. Uniformity: norms scaled to [1e3, 1e6], eps pinned at 1
-# ---------------------------------------------------------------------------
-def criterion_4(seed: int = BASE_SEED, per_p: int = 10000) -> CriterionResult:
-    result = criterion_2(
-        seed=seed + 2,
-        per_p=per_p,
-        scaled=True,
-        number=4,
-        name="uniformity under norm scaling (eps fixed at 1)",
-    )
-    return result
 
 
 # ---------------------------------------------------------------------------
 # 5. Tail-weight bound
 # ---------------------------------------------------------------------------
-def criterion_5(seed: int = BASE_SEED, count: int = 1000) -> CriterionResult:
-    start = time.perf_counter()
+def criterion_5(seed: int = BASE_SEED, count: int = 1000) -> Measured:
     rng = random.Random(seed + 5)
     failures = 0
     for _ in range(count):
@@ -238,23 +189,13 @@ def criterion_5(seed: int = BASE_SEED, count: int = 1000) -> CriterionResult:
         slack = 2.0 * tw.w[0] - tw.weighted_sum()
         if not slack >= -1e-12:
             failures += 1
-    seconds = time.perf_counter() - start
-    return CriterionResult(
-        5,
-        "tail-weight sum bound",
-        failures == 0,
-        f"{count} sequences, {failures} failures, slack floor -1e-12",
-        seconds,
-        failures,
-        count,
-    )
+    return failures, count, f"{count} sequences, {failures} failures, slack floor -1e-12"
 
 
 # ---------------------------------------------------------------------------
 # 6. Closed ball on the v side for p = 1
 # ---------------------------------------------------------------------------
-def criterion_6(seed: int = BASE_SEED) -> CriterionResult:
-    start = time.perf_counter()
+def criterion_6(seed: int = BASE_SEED) -> Measured:
     space = MeasureSpace.from_measures([1.0])
     instance = LpInstance(
         f=SimpleFunction(space, (1.0,)),
@@ -289,16 +230,7 @@ def criterion_6(seed: int = BASE_SEED) -> CriterionResult:
         p2_cert.strict_v is True,
     ]
     failures = len([c for c in checks if not c])
-    seconds = time.perf_counter() - start
-    return CriterionResult(
-        6,
-        "closed v-side ball for countably-valued p = 1",
-        failures == 0,
-        f"{len(checks)} contract checks, {failures} failures",
-        seconds,
-        failures,
-        len(checks),
-    )
+    return failures, len(checks), f"{len(checks)} contract checks, {failures} failures"
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +252,8 @@ def _tamper_target(instance, cert, rng) -> Optional[int]:
     return rng.choice(candidates)
 
 
-def criterion_7(seed: int = BASE_SEED, count: int = 1000) -> CriterionResult:
-    start = time.perf_counter()
+def criterion_7(seed: int = BASE_SEED, count: int = 1000) -> Measured:
+    """Honest certificates pass, tampered ones fail; total counts the tampered."""
     rng = random.Random(seed + 7)
     failures = 0
     accepted_tampered = 0
@@ -374,46 +306,49 @@ def criterion_7(seed: int = BASE_SEED, count: int = 1000) -> CriterionResult:
         )
         if verify_certificate(instance, tampered).passed:
             accepted_tampered += 1
-    seconds = time.perf_counter() - start
-    passed = failures == 0 and accepted_tampered == 0 and examined > 0
-    return CriterionResult(
-        7,
-        "verifier rejects tampered certificates",
-        passed,
-        f"{examined} tampered certificates, {accepted_tampered} wrongly accepted, "
-        f"{failures} honest certificates rejected",
-        seconds,
+    return (
         accepted_tampered + failures,
         examined,
+        f"{examined} tampered certificates, {accepted_tampered} wrongly accepted, "
+        f"{failures} honest certificates rejected",
     )
 
 
+class Criterion(NamedTuple):
+    run: Callable[..., Measured]
+    name: str
+    bound: Optional[int]  # runtime bound in seconds, or None
+    smoke: Dict[str, int]  # keyword volumes for ``fast`` runs
+
+
 CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
+    1: Criterion(criterion_1, "scalar kernel sweep", 5, {}),
+    2: Criterion(criterion_2, "L_p factorization at eps^2/4", 60, {"per_p": 100}),
+    3: Criterion(criterion_3, "l1 x c0 factorization at eps^2/16", None, {"count": 100}),
+    4: Criterion(
+        criterion_4, "uniformity under norm scaling (eps fixed at 1)", None, {"per_p": 100}
+    ),
+    5: Criterion(criterion_5, "tail-weight sum bound", None, {"count": 100}),
+    6: Criterion(criterion_6, "closed v-side ball for countably-valued p = 1", None, {}),
+    7: Criterion(criterion_7, "verifier rejects tampered certificates", None, {"count": 60}),
 }
 
 
 def run_criterion(number: int, seed: int = BASE_SEED, fast: bool = False) -> CriterionResult:
-    """Run one criterion; ``fast`` shrinks the instance counts for smoke runs."""
-    fn = CRITERIA[number]
-    if not fast:
-        return fn(seed=seed)
-    shrunk = {
-        1: lambda: criterion_1(seed=seed),
-        2: lambda: criterion_2(seed=seed, per_p=100),
-        3: lambda: criterion_3(seed=seed, count=100),
-        4: lambda: criterion_4(seed=seed, per_p=100),
-        5: lambda: criterion_5(seed=seed, count=100),
-        6: lambda: criterion_6(seed=seed),
-        7: lambda: criterion_7(seed=seed, count=60),
-    }
-    return shrunk[number]()
+    """Time one criterion and judge it: no failures, a nonzero total, in its bound.
+
+    ``fast`` runs the criterion at its smoke volume.
+    """
+    entry = CRITERIA[number]
+    start = time.perf_counter()
+    failures, total, detail = entry.run(seed=seed, **(entry.smoke if fast else {}))
+    seconds = time.perf_counter() - start
+    in_time = True
+    if entry.bound is not None:
+        in_time = seconds < entry.bound
+        detail += f", runtime bound {entry.bound} s"
+    passed = failures == 0 and total > 0 and in_time
+    return CriterionResult(number, entry.name, passed, detail, seconds, failures, total)
 
 
 def run_all(

@@ -19,7 +19,6 @@ from .errors import FeasibilityError
 from .generate import InstanceSpec, gen_instance
 from .instances import LpInstance, SeqInstance, instance_from_json
 from .lp import factor_general
-from .measure import INFINITE
 from .scalar import ScalarBox, factor_scalar
 from .sequences import STRATEGIES, factor_seq
 from .verify import verify_certificate
@@ -44,12 +43,7 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_lemma1(args) -> int:
-    box = ScalarBox(args.x, args.y, args.r, args.R)
-    try:
-        pair = factor_scalar(box, args.z)
-    except FeasibilityError as exc:
-        print(f"infeasible: defect {exc.defect} >= bound {exc.bound}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    pair = factor_scalar(ScalarBox(args.x, args.y, args.r, args.R), args.z)
     if args.json:
         _emit({"u": pair.u, "v": pair.v, "case": pair.case}, None)
     else:
@@ -72,19 +66,12 @@ def _cmd_factor(args) -> int:
     if not isinstance(instance, LpInstance):
         print("factor expects an LP instance; use factor-seq for sequences", file=sys.stderr)
         return 1
-    pipeline = args.pipeline
-    if pipeline == "auto":
-        pipeline = "full" if INFINITE in instance.space.measures else "countable"
-    solver = factor_general if pipeline == "full" else factor_countable
-    try:
-        cert = solver(instance.f, instance.g, instance.h, instance.p, instance.eps)
-    except FeasibilityError as exc:
-        print(f"infeasible: defect {exc.defect} >= bound {exc.bound}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    solver = factor_general if args.pipeline == "full" else factor_countable
+    cert = solver(instance.f, instance.g, instance.h, instance.p, instance.eps)
     _emit(cert.to_json(), args.output)
     if args.emit_params:
         params = cert.params.to_json() if cert.params is not None else None
-        _emit({"pipeline": pipeline, "params": params}, args.emit_params)
+        _emit({"pipeline": args.pipeline, "params": params}, args.emit_params)
     return EXIT_OK
 
 
@@ -100,11 +87,7 @@ def _cmd_factor_seq(args) -> int:
     if not isinstance(instance, SeqInstance):
         print("factor-seq expects a sequence instance", file=sys.stderr)
         return 1
-    try:
-        cert = factor_seq(instance.x, instance.y, instance.z, instance.eps, args.strategy)
-    except FeasibilityError as exc:
-        print(f"infeasible: defect {exc.defect} >= bound {exc.bound}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    cert = factor_seq(instance.x, instance.y, instance.z, instance.eps, args.strategy)
     _emit(cert.to_json(), args.output)
     return EXIT_OK
 
@@ -152,11 +135,7 @@ def _cmd_sweep(args) -> int:
                 numbers.extend(range(int(lo), int(hi) + 1))
             else:
                 numbers.append(int(chunk))
-    try:
-        results = acceptance.run_all(numbers, seed=args.seed, fast=args.fast)
-    except FeasibilityError as exc:
-        print(f"unexpected feasibility error during sweep: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    results = acceptance.run_all(numbers, seed=args.seed, fast=args.fast)
     if args.json:
         _emit({"results": [r.to_json() for r in results]}, None)
     else:
@@ -184,9 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--eps", type=float, default=None)
     pf.add_argument(
         "--pipeline",
-        choices=("auto", "countable", "full"),
-        default="auto",
-        help="auto picks the full pipeline when INFINITE-measure atoms are present",
+        choices=("countable", "full"),
+        default="countable",
+        help="countable (default) solves atom by atom; full runs truncation and "
+        "quantization (factor_general)",
     )
     pf.add_argument("--output", default=None, help="certificate path (default stdout)")
     pf.add_argument("--emit-params", default=None, help="dump selected parameters to this path")
@@ -232,7 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FeasibilityError as exc:
+        print(f"infeasible: defect {exc.defect} >= bound {exc.bound}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

@@ -158,9 +158,11 @@ def select_params(
     # Both constraints on d are 1 - d < s_max, s_max maybe far below one ulp
     # of 1.0: compare s = 1 - d exactly, as integer ratios cross-multiplied.
     m2n, m2d = (k * k for k in m.as_integer_ratio())  # m^2
-    margin = eps - eps1 - eps_bar  # > 0 whenever eps1 was admissible
-    if margin <= 0:
-        raise FeasibilityError(defect, bound, context="parameter selection")
+    # margin > 0 needs no check.  The last accepted lo passed the float test
+    # lo + S < eps, with S >= eps_bar its root, so lo + S <= eps - ulp(S)/2
+    # exactly; eps1 < lo puts eps - eps1 above S + ulp(S)/2, so it rounds
+    # above S.
+    margin = eps - eps1 - eps_bar
     growth = pow_or_inf(m, 1.0 + inv_p)
     if math.isinf(growth):
         dn, dd = m2n + m2d, m2d  # m^2 + 1 >= m^(1+1/p) once m >= 1
@@ -319,7 +321,7 @@ def snap_to_gamma_grid(value: float, gamma: float, cap: float) -> float:
     if t / gamma >= _GRID_LIMIT:
         # The grid cannot be resolved at this magnitude; the value itself
         # already satisfies both contracts (|v| >= gamma, |v - g| <= gamma).
-        return math.copysign(t, 1.0 if value >= 0 else -1.0)
+        return value
     if value >= 0:
         k = int(t / gamma)
         while (k + 1) * gamma <= t:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import mul, truediv
@@ -136,7 +136,7 @@ class MeasureSpace:
 _CONJUGATES: dict = {}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Exponent:
     """A norm exponent p in [1, oo].
 
@@ -144,12 +144,13 @@ class Exponent:
     float is exact), which makes ``conjugate(conjugate(p)) == p`` hold
     exactly rather than merely to rounding.  ``float(p)`` (in double range),
     the rounded ``1/p`` and the conjugate, shared by value, are fixed when built.
+    They live in slots that are not dataclass fields, so ``value`` is the only
+    field: ``dataclasses.asdict`` never walks the cycle p -> q -> p, and a
+    pickle or copy rebuilds the exponent from its value.
     """
 
+    __slots__ = ("value", "_float", "_inverse", "_conjugate")
     value: Union[Fraction, float]
-    _float: float = field(init=False, repr=False, compare=False)
-    _inverse: float = field(init=False, repr=False, compare=False)
-    _conjugate: "Exponent" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = self.value
@@ -173,6 +174,9 @@ class Exponent:
             _CONJUGATES[conj] = self  # the partner built next finds self
             q = _CONJUGATES[v] = Exponent(conj)
         object.__setattr__(self, "_conjugate", q)
+
+    def __reduce__(self):
+        return Exponent, (self.value,)
 
     @property
     def is_infinite(self) -> bool:
@@ -258,11 +262,12 @@ def norm(f: SimpleFunction, p: Union[Exponent, float, int, Fraction]) -> float:
 
     For finite p this is ``(sum |a_n|^p mu(A_n)) ** (1/p)`` with the
     convention ``0 * INFINITE = 0``; a nonzero coefficient on an
-    INFINITE-measure atom makes the norm INFINITE, as does a sum beyond
+    INFINITE-measure atom makes the norm INFINITE, as does a norm beyond
     double range.  For p = oo it is the essential supremum: the largest
     |a_n| over atoms of positive measure.  For p > 1 the largest magnitude
-    is factored out before raising to the power, so intermediate overflow
-    cannot occur when the norm itself is representable.
+    is factored out before raising to the power, and, should the measures
+    still push the sum past the doubles, the largest measure as well, so
+    intermediate overflow cannot occur when the norm itself is representable.
     """
     if not isinstance(p, Exponent):
         p = Exponent(p)
@@ -289,7 +294,15 @@ def _norm(coeffs: Sequence[float], measures: Sequence[float], p: Exponent) -> fl
     ratios = map(truediv, mags, repeat(scale))
     total = fsum_or_inf(map(mul, map(pow, ratios, repeat(pf)), live_measures))
     if math.isinf(total):
-        return INFINITE
+        # Each term is at most its measure, so the measures overflowed the
+        # sum: factor out the largest one on the support too.  The rescaled
+        # sum lies in [1, n], and the product overflows only with the norm.
+        live_measures = list(compress(measures, live))
+        top = max(compress(live_measures, mags))
+        ratios = map(truediv, mags, repeat(scale))
+        shares = map(truediv, live_measures, repeat(top))
+        total = math.fsum(map(mul, map(pow, ratios, repeat(pf)), shares))
+        return scale * total ** (1.0 / pf) * top ** (1.0 / pf)
     return scale * total ** (1.0 / pf)
 
 

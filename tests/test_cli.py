@@ -1,6 +1,7 @@
 """The command-line surface, exercised in-process through main()."""
 import json
 import math
+import re
 
 import pytest
 
@@ -150,7 +151,7 @@ class TestPipelineFiles:
         assert 0 < audit["params"]["d"] <= 1
         assert audit["params"]["outer_delta"] is not None
 
-    def test_auto_routes_infinite_atoms_to_full_pipeline(self, tmp_path, capsys):
+    def test_default_pipeline_certifies_infinite_atoms(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         params = tmp_path / "params.json"
         cert = tmp_path / "cert.json"
@@ -165,11 +166,38 @@ class TestPipelineFiles:
             "--output", str(cert), "--emit-params", str(params),
         )
         assert code == 0
-        assert json.loads(params.read_text())["pipeline"] == "full"
+        assert json.loads(params.read_text())["pipeline"] == "countable"
         code, _, _ = run(
             capsys, "verify", "--instance", str(inst), "--certificate", str(cert)
         )
         assert code == 0
+
+    def test_auto_pipeline_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["factor", "--instance", str(tmp_path / "x.json"), "--pipeline", "auto"])
+
+    @pytest.mark.parametrize(
+        "command, instance",
+        [
+            (
+                ["factor", "--pipeline", "countable"],
+                {"kind": "lp", "space": {"atoms": [{"id": "a", "measure": 1}]},
+                 "f": [0], "g": [0], "h": [1], "p": 2, "eps": 1.0},
+            ),
+            (
+                ["factor", "--pipeline", "full"],
+                {"kind": "lp", "space": {"atoms": [{"id": "a", "measure": 1}]},
+                 "f": [0], "g": [0], "h": [1], "p": 2, "eps": 1.0},
+            ),
+            (["factor-seq"], {"kind": "seq", "x": [0], "y": [0], "z": [1], "eps": 1.0}),
+        ],
+    )
+    def test_infeasible_instance_exits_2(self, tmp_path, capsys, command, instance):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(instance))
+        code, out, err = run(capsys, *command, "--instance", str(inst))
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"infeasible: defect \S+ >= bound \S+\n", err)
 
     def test_factor_seq_round_trip(self, tmp_path, capsys):
         inst = tmp_path / "seq.json"

@@ -97,6 +97,24 @@ class TestSelectParams:
         assert float(params.d) == 1.0  # yet d < 1 holds exactly
         assert params.d < 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eps=st.floats(1e-300, 1e300),
+        below=st.integers(1, 2**40),
+    )
+    @example(eps=1.0, below=1)
+    @example(eps=1e-150, below=1)
+    def test_defect_just_below_the_bound_keeps_a_positive_margin(self, eps, below):
+        # 1 - d is bounded by margin = eps - eps1 - eps_bar, which the
+        # bisection's exit test keeps positive, so d < 1 on every return.
+        bound = (eps / 2.0) * (eps / 2.0)
+        defect = max(bound - below * math.ulp(bound), 0.0)
+        try:
+            params = select_params(defect, 1.0, 2, eps)
+        except FeasibilityError:
+            return
+        assert eps - params.eps1 - params.eps_bar > 0 and params.d < 1
+
     def test_random_parameter_soundness(self):
         rng = random.Random(31)
         for _ in range(200):
@@ -206,6 +224,15 @@ class TestQuantizeGrid:
             for a, b in zip(f, fq):
                 assert abs(a - b) <= delta * (1 + 1e-12)
                 assert abs(b) <= abs(a)
+
+    def test_upward_fix_up_step(self):
+        # int(t / delta) lands one grid step short of the floor of t / delta
+        t, delta = 544208.0627891173, 1.6048148406563937e-09
+        k = int(t / delta)
+        assert k == 339109565167360 and (k + 1) * delta <= t
+        (tq,) = quantize_grid((t,), delta)
+        assert tq == (k + 1) * delta
+        assert tq <= t and t - tq <= delta
 
     def test_subresolution_grid_is_identity(self):
         # more than 2^53 steps to either value: a double cannot tell the

@@ -1,5 +1,6 @@
 """Norms, conjugation, products and support truncation."""
 import copy
+import dataclasses
 import math
 import pickle
 import re
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from lpfactor import (
     INFINITE,
     Exponent,
+    LpInstance,
     MeasureSpace,
     SimpleFunction,
     conjugate,
@@ -93,6 +95,20 @@ class TestNorm:
         assert norm(f, 2) == 5.0
         assert norm(f, INFINITE) == 4.0
 
+    @pytest.mark.parametrize("p", [2, 3, Fraction(11, 10)])
+    def test_measures_beyond_the_doubles_are_scaled_out(self, p):
+        # mu(A_1) + mu(A_2) = 3.4e308 overflows; the norm 1e-155 * 3.4e308^(1/p) does not
+        measures, coeffs = [1.7e308, 1.7e308], [1e-155, 1e-155]
+        expected = 1e-155 * 3.4 ** (1 / float(p)) * 10.0 ** (308 / float(p))
+        got = norm(sf(measures, coeffs), p)
+        assert got == pytest.approx(expected, rel=1e-13)
+        assert norm_is_finite(coeffs, measures, Exponent(p))
+
+    def test_a_norm_beyond_the_doubles_still_saturates(self):
+        f = sf([1.7e308, 1.7e308], [1e300, 1e300])
+        assert norm(f, 2) == INFINITE and norm(f, 1) == INFINITE
+        assert not norm_is_finite(f.coefficients, f.space.measures, Exponent(2))
+
 
 # ---------------------------------------------------------------------------
 # conjugate exponents
@@ -155,6 +171,15 @@ class TestConjugate:
             assert clone == e and hash(clone) == hash(e) and repr(clone) == text
             assert clone.conjugate() == e.conjugate()
             assert float(clone) == float(e) and clone.reciprocal() == e.reciprocal()
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, INFINITE])
+    def test_asdict_holds_only_the_value(self, p):
+        e = Exponent(p)
+        assert dataclasses.asdict(e) == {"value": e.value}
+        assert [f.name for f in dataclasses.fields(e)] == ["value"]
+        f = sf([1.0], [1.0])
+        instance = LpInstance(f=f, g=f, h=f, p=e, eps=1.0)
+        assert dataclasses.asdict(instance)["p"] == {"value": e.value}
 
     @given(
         st.one_of(
@@ -429,9 +454,12 @@ def _norm_reference(coeffs, measures, p):
     try:
         total = math.fsum((t / scale) ** p * m for t, m in entries)
     except OverflowError:
-        return INFINITE
+        total = INFINITE
     if math.isinf(total):
-        return INFINITE
+        # The measures overflowed the sum: factor out the largest one too.
+        top = max(m for _, m in entries)
+        total = math.fsum((t / scale) ** p * (m / top) for t, m in entries)
+        return scale * total ** (1.0 / p) * top ** (1.0 / p)
     return scale * total ** (1.0 / p)
 
 

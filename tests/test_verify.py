@@ -147,6 +147,20 @@ class TestVerifier:
         assert report.norm_u_dist == math.inf and not report.u_side_ok
         assert report.product_ok and report.v_side_ok and not report.passed
 
+    def test_measures_beyond_the_doubles_keep_finite_distances(self):
+        # The measures sum past the doubles; the distances, 0.18, do not.
+        space = MeasureSpace.from_measures([1.7e308, 1.7e308])
+        zero = SimpleFunction(space, (0.0, 0.0))
+        instance = LpInstance(
+            f=zero, g=zero, h=SimpleFunction(space, (1e-310, 1e-310)),
+            p=Exponent(2), eps=1.0,
+        )
+        cert = factor_countable(instance.f, instance.g, instance.h, instance.p, 1.0)
+        report = verify_certificate(instance, cert)
+        assert report.passed
+        for dist in (report.norm_u_dist, report.norm_v_dist):
+            assert dist == pytest.approx(math.sqrt(1.7e308 * 1e-155 * 1e-155 * 2), rel=1e-13)
+
     def test_never_imports_solver_code(self):
         source = inspect.getsource(lpfactor.verify)
         for solver_module in ("scalar", "countable", "lp", "sequences", "generate"):
