@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .certificates import FactorizationCertificate
@@ -296,14 +296,7 @@ def criterion_7(seed: int = BASE_SEED, count: int = 1000) -> Measured:
             u[idx] *= 1.0 + 1e-3
         else:
             v[idx] *= 1.0 + 1e-3
-        tampered = FactorizationCertificate(
-            u=tuple(u),
-            v=tuple(v),
-            radius_u=cert.radius_u,
-            radius_v=cert.radius_v,
-            strict_u=cert.strict_u,
-            strict_v=cert.strict_v,
-        )
+        tampered = replace(cert, u=u, v=v)
         if verify_certificate(instance, tampered).passed:
             accepted_tampered += 1
     return (

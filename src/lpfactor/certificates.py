@@ -4,7 +4,9 @@ A certificate is checkable by recomputation alone; it carries no solver
 state.  ``strict_u`` / ``strict_v`` record whether the promise on that side
 is an open ball (strict inequality) or a closed one; the closed v-side
 appears in the countably-valued p = 1 construction, and the closed u-side
-only via the p = oo argument swap.
+only via the p = oo argument swap.  The product tolerance belongs to the
+verifier, not to the certificate; ``from_json`` ignores the
+``product_tolerance`` key that older files carry.
 """
 from __future__ import annotations
 
@@ -12,8 +14,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 __all__ = ["FactorizationCertificate"]
-
-PRODUCT_TOL_DEFAULT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class FactorizationCertificate:
     radius_v: float
     strict_u: bool = True
     strict_v: bool = True
-    product_tolerance: float = PRODUCT_TOL_DEFAULT
     # Parameter record for audit (not part of the verifiable payload).
     params: Optional[object] = field(default=None, compare=False, repr=False)
 
@@ -59,7 +58,6 @@ class FactorizationCertificate:
             "radius_v": self.radius_v,
             "strict_u": self.strict_u,
             "strict_v": self.strict_v,
-            "product_tolerance": self.product_tolerance,
         }
 
     @classmethod
@@ -71,5 +69,4 @@ class FactorizationCertificate:
             radius_v=float(data["radius_v"]),
             strict_u=bool(data.get("strict_u", True)),
             strict_v=bool(data["strict_v"]),
-            product_tolerance=float(data.get("product_tolerance", PRODUCT_TOL_DEFAULT)),
         )

@@ -17,7 +17,7 @@ from .certificates import FactorizationCertificate
 from .countable import factor_countable
 from .errors import FeasibilityError
 from .generate import InstanceSpec, gen_instance
-from .instances import LpInstance, SeqInstance, instance_from_json
+from .instances import LpInstance, SeqInstance, instance_from_json, load_instance
 from .lp import factor_general
 from .scalar import ScalarBox, factor_scalar
 from .sequences import STRATEGIES, factor_seq
@@ -93,9 +93,9 @@ def _cmd_factor_seq(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = instance_from_json(_load_json(args.instance))
+    instance = load_instance(args.instance)
     cert = FactorizationCertificate.from_json(_load_json(args.certificate))
-    report = verify_certificate(instance, cert, tol=args.tol)
+    report = verify_certificate(instance, cert)
     if args.json:
         _emit(report.to_json(), None)
     else:
@@ -175,14 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("factor-seq", help="factor a sequence instance")
     ps.add_argument("--instance", required=True)
     ps.add_argument("--eps", type=float, default=None)
-    ps.add_argument("--strategy", choices=STRATEGIES, default="auto")
+    ps.add_argument("--strategy", choices=STRATEGIES, default="finite")
     ps.add_argument("--output", default=None)
     ps.set_defaults(func=_cmd_factor_seq)
 
     pv = sub.add_parser("verify", help="verify a certificate against an instance")
     pv.add_argument("--instance", required=True)
     pv.add_argument("--certificate", required=True)
-    pv.add_argument("--tol", type=float, default=1e-9)
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(func=_cmd_verify)
 

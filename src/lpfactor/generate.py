@@ -51,8 +51,8 @@ class InstanceSpec:
             raise ValueError("defect_fraction must lie strictly in (0, 1)")
         if self.n < 1:
             raise ValueError("need at least one atom")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:  # NaN fails too
+            raise ValueError("eps must be positive and finite")
         if self.kind == "lp" and self.p is None:
             raise ValueError("LP instances need an exponent p")
 

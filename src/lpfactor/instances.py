@@ -30,24 +30,22 @@ __all__ = [
 
 
 def space_to_json(space: MeasureSpace) -> dict:
-    payload = {
+    return {
         "atoms": [
             {"id": a, "measure": "inf" if math.isinf(m) else m}
             for a, m in zip(space.atoms, space.measures)
         ]
     }
-    if space.units:
-        payload["units"] = space.units
-    return payload
 
 
 def space_from_json(data: dict) -> MeasureSpace:
+    """The space of ``space_to_json``; other keys, such as "units", are ignored."""
     atoms = tuple(entry["id"] for entry in data["atoms"])
     measures = tuple(
         INFINITE if entry["measure"] == "inf" else float(entry["measure"])
         for entry in data["atoms"]
     )
-    return MeasureSpace(atoms, measures, data.get("units", ""))
+    return MeasureSpace(atoms, measures)
 
 
 def simple_function_to_json(f: SimpleFunction) -> dict:

@@ -308,10 +308,12 @@ def snap_to_gamma_grid(value: float, gamma: float, cap: float) -> float:
 
     Values in [0, cap] snap up to the next positive multiple of gamma
     (value in [k gamma, (k+1) gamma) gives (k+1) gamma); values in [-cap, 0)
-    snap to -(k+1) gamma for value in [-(k+1) gamma, -k gamma).  Values
-    beyond the cap in magnitude return 1 (they only occur on null atoms).
-    The result is never smaller than gamma in magnitude and never farther
-    than gamma from the input.
+    snap to -(k+1) gamma for value in [-(k+1) gamma, -k gamma), with the
+    grid points k gamma rounded to doubles.  Values beyond the cap in
+    magnitude return 1 (they only occur on null atoms).  Any other result is
+    at least gamma in magnitude, exactly, and lies within gamma plus one ulp
+    of the result from the input: a rounded grid point can land on the
+    input, which then snaps one step further.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")

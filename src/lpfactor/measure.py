@@ -93,13 +93,10 @@ class MeasureSpace:
         Unique atom identifiers, in a fixed order.
     measures : tuple of float
         One nonnegative measure per atom; ``INFINITE`` is allowed.
-    units : str
-        Free-form label for the measure's units; carried, never interpreted.
     """
 
     atoms: tuple
     measures: tuple
-    units: str = ""
 
     def __post_init__(self):
         atoms = tuple(self.atoms)

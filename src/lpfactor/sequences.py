@@ -11,7 +11,7 @@ schemes are implemented:
           the sequence; this is the construction that survives an infinite
           disagreement set, runnable here on any finite prefix.
 
-AUTO resolves to FINITE, which gives the sharper flat sup bound eps/2.
+FINITE, the default, gives the sharper flat sup bound eps/2.
 
 The inputs are padded once; defects, weights and radii are built in C-level
 passes, and ``scalar._split_atoms`` runs the per-index loop on bare floats.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import ge, mul, sub, truediv
 from typing import Iterable, Sequence
 
@@ -37,7 +37,7 @@ from .scalar import factor_scalar  # noqa: F401  (traced here by bench/spans.py)
 
 __all__ = ["TailWeights", "tail_weights", "seq_split", "factor_seq", "STRATEGIES"]
 
-STRATEGIES = ("auto", "finite", "tail")
+STRATEGIES = ("finite", "tail")
 
 
 @dataclass(frozen=True)
@@ -88,21 +88,23 @@ def _padded_split(x, y, z, eps, strategy):
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
-    if eps <= 0 or math.isinf(eps):
+    if not 0.0 < eps < math.inf:  # NaN fails too
         raise ValueError("eps must be positive and finite")
     xs, ys, zs = padded = _pad(x, y, z)
     diffs = tuple(map(abs, map(sub, zs, map(mul, xs, ys))))
     # Zero terms leave an exact sum unchanged.
     defect = fsum_or_inf(diffs)
     bound = (eps / 4.0) * (eps / 4.0)  # eps * eps overflows before the bound
-    if not defect < bound:
+    if not defect < bound:  # a NaN or inf entry lands here too
+        if not all(map(math.isfinite, chain(xs, ys, zs))):
+            raise ValueError("coefficients must be finite reals")
         raise FeasibilityError(defect, bound, context="sequence factorization")
     working = list(compress(range(len(diffs)), diffs))
     if not working:
         return padded, working, 0.0, [], (), ()
 
     shares = list(compress(diffs, diffs))
-    if strategy in ("auto", "finite"):
+    if strategy == "finite":
         eta = defect
         lambdas = list(map(truediv, shares, repeat(eta)))
         rs = map(truediv, map(mul, lambdas, repeat(eps)), repeat(2.0))
@@ -120,7 +122,7 @@ def seq_split(
     y: Sequence[float],
     z: Sequence[float],
     eps: float,
-    strategy: str = "auto",
+    strategy: str = "finite",
 ) -> AgreementSplit:
     """The agreement set, defect and per-index radii for one sequence instance.
 
@@ -142,7 +144,7 @@ def factor_seq(
     y: Sequence[float],
     z: Sequence[float],
     eps: float,
-    strategy: str = "auto",
+    strategy: str = "finite",
 ) -> FactorizationCertificate:
     """Factor z = uv with u within eps of x in l1 and v within eps of y in sup.
 

@@ -3,7 +3,8 @@
 Recomputes the product and both norm distances from scratch, using nothing
 but the instance, the certificate and the norm definitions; no solver module
 is imported here, so a verdict can never inherit a solver bug.  The product
-comparison is relative with an absolute fallback for entries below 1; the
+comparison is relative with an absolute fallback for entries below 1, both
+at the one tolerance ``PRODUCT_TOL``, which no certificate can set; the
 norm comparisons are exact float comparisons against the promised radii,
 strict or closed per the certificate's flags.  A NaN product, or a
 difference that is not finite (an infinite distance), fails.
@@ -20,6 +21,8 @@ from .instances import LpInstance, SeqInstance
 from .measure import INFINITE, SimpleFunction, conjugate, fsum_or_inf, norm
 
 __all__ = ["VerificationReport", "verify_certificate"]
+
+PRODUCT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,14 +123,11 @@ def _verify_seq(instance: SeqInstance, certificate: FactorizationCertificate):
 def verify_certificate(
     instance: Union[LpInstance, SeqInstance],
     certificate: FactorizationCertificate,
-    tol: float = 1e-9,
 ) -> VerificationReport:
     """Check a certificate against its instance by recomputation.
 
     Raises ValueError on a shape mismatch between certificate and instance.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     if isinstance(instance, LpInstance):
         prod_err, dist_u, dist_v = _verify_lp(instance, certificate)
     elif isinstance(instance, SeqInstance):
@@ -138,7 +138,7 @@ def verify_certificate(
         product_max_rel_error=prod_err,
         norm_u_dist=dist_u,
         norm_v_dist=dist_v,
-        product_ok=prod_err <= tol,
+        product_ok=prod_err <= PRODUCT_TOL,
         u_side_ok=_within(dist_u, certificate.radius_u, certificate.strict_u),
         v_side_ok=_within(dist_v, certificate.radius_v, certificate.strict_v),
         constant_used=instance.feasibility_bound(),

@@ -177,6 +177,41 @@ class TestPipelineFiles:
             main(["factor", "--instance", str(tmp_path / "x.json"), "--pipeline", "auto"])
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factor-seq", "--instance", "x.json", "--strategy", "auto"],
+            ["verify", "--instance", "x.json", "--certificate", "c.json", "--tol", "1"],
+        ],
+    )
+    def test_removed_options_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+
+    def test_certificate_with_stale_tolerance_verifies(self, tmp_path, capsys):
+        inst = tmp_path / "seq.json"
+        cert = tmp_path / "cert.json"
+        inst.write_text(json.dumps({"x": [1.0], "y": [1.0], "z": [1.01], "eps": 1.0}))
+        run(capsys, "factor-seq", "--instance", str(inst), "--output", str(cert))
+        payload = json.loads(cert.read_text())
+        assert "product_tolerance" not in payload
+        # the key older versions wrote; the verifier's own tolerance applies
+        cert.write_text(json.dumps({**payload, "product_tolerance": 0.0}))
+        code, out, _ = run(
+            capsys, "verify", "--instance", str(inst), "--certificate", str(cert)
+        )
+        assert code == 0 and "verdict: pass" in out
+
+    def test_non_finite_eps_is_bad_input_not_infeasible(self, tmp_path, capsys):
+        inst = tmp_path / "seq.json"
+        inst.write_text(json.dumps({"x": [1.0], "y": [1.0], "z": [1.01]}))
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            main(["factor-seq", "--instance", str(inst), "--eps", "nan"])
+        out = tmp_path / "gen.json"
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            main(["gen", "--kind", "seq", "--eps", "nan", "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, instance",
         [
             (
@@ -207,7 +242,7 @@ class TestPipelineFiles:
             "--eps", "0.5", "--defect-fraction", "0.7", "--seed", "31",
             "--out", str(inst),
         )
-        for strategy in ("auto", "finite", "tail"):
+        for strategy in ("finite", "tail"):
             code, _, _ = run(
                 capsys, "factor-seq", "--instance", str(inst),
                 "--strategy", strategy, "--output", str(cert),

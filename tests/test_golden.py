@@ -41,23 +41,23 @@ LP_SOLVERS = {
 }
 
 GOLDEN = {
-    "factor_general/p=1": "8c58958a86659084a96425e1e20d56016e6f7a6a56e2463b176bdb45e3400528",
-    "factor_general/p=1.5": "7eedeee9f36f8ae8d3b2871cc5137faa37dd08f627ee3e28e58b05270a42c5cd",
-    "factor_general/p=2": "7b5c4063d7bc69601f82d79cef812e66358774f788f8ff4b06e00524745804da",
-    "factor_general/p=3": "b23d6aa2cdcafe688aea52473e2e96265e70022cc0534a3f92d1864b1aed71a0",
-    "factor_general/p=inf": "c1abfbf686a19ffbeee8f393466aaf9c00bce20d9edd37a8d9ea750310a09c95",
-    "factor_bounded/p=1": "89bd4ac9068264a161ab509001b81ef3e54002db0a6c546664cf6089bd0eb6d2",
-    "factor_bounded/p=1.5": "3d89edeb4fa871cbe9cd4a37189e46e4134f3e01688f693b83e9f198480fc535",
-    "factor_bounded/p=2": "d94e87e326281ed50a872ccd69d8161946429758a2c239902567d64a3053a726",
-    "factor_bounded/p=3": "b6f35490246210d3b5bd84bc6947fa0c578d04ca57b42ae944ade55884f63128",
-    "factor_bounded/p=inf": "ee9eb3c92c7686d5d5e0893919db88f5c9fb525776ba29cf3cfb3c47ef65006c",
-    "factor_countable/p=1": "280552852cdaa7f7e77e623186642756e61e5d18316f2c3cb26d9f078f4cef80",
-    "factor_countable/p=1.5": "7e0beac57491f4c6d4792084f23b0ee49994e1f05c69b58cb36d7e815a084bcc",
-    "factor_countable/p=2": "7eb2fdee98fbe29cdbb2d70db0fb062671670e0cd76cd4d9e1efeeb46315d27a",
-    "factor_countable/p=3": "59db60d7f55487c389a25280378b777991760cffe95454fdc4b6c7ed305ffc2d",
-    "factor_countable/p=inf": "5f3869efbaa93f5c8d77545a90e016aa2737726ec457971bc0661f1c3c42e6ae",
-    "factor_seq/finite": "e256a970c2bda3d22a17a37dab2f92f047cca800a2185162bfd9710da1580732",
-    "factor_seq/tail": "4c3d8b56384fe8b8c25927e3d2697046f40e0dc9259c76a64921ef81e8776aea",
+    "factor_general/p=1": "2cab4cd8b33be5ec69a9be952708bc1887e893b3eca4457c0cffbe7d1aa713ec",
+    "factor_general/p=1.5": "7de9d55725e624f84da5dbc2339bf7dda0daaa3ebf0afdcf1c84f6d421755405",
+    "factor_general/p=2": "0632e97294511ffaf2727e9459032b9df2d96c5fac703e14668580546c560cdb",
+    "factor_general/p=3": "6de3ce3f9f664aa8f777cdebc4ca2c30a0d3dc9f0da98c1b54048752759a0f27",
+    "factor_general/p=inf": "20a37a91228323fd5f82abbf6cd2929a49e28f247ce21c9c9dbd6e3128019807",
+    "factor_bounded/p=1": "004010157cdd506814edcd4ea31a8eb2a9fabd9a00e50bd7047f8aa3b6dc3a26",
+    "factor_bounded/p=1.5": "5fceb7cbbfd2a0f9d60a0c4ff538550f98ad40b90f925ce14d6407d459fbdce6",
+    "factor_bounded/p=2": "cefd2f6e36df57fc2ebba6d41c106ff714d357a7f3288186992821a4220bb7d9",
+    "factor_bounded/p=3": "b77c589af949b70ae52aa569671946f7e2b56d97566ccbc178c92bbf8938518f",
+    "factor_bounded/p=inf": "1cf6c6877a92a1e2181e15c758fa8035b4d19269028c98a175cebadfa75479c6",
+    "factor_countable/p=1": "af716062e9309cf4b229e8d3862a63c43628fd41d6d504c42b513c8aa7f2baba",
+    "factor_countable/p=1.5": "56f5670651f0fb0c61557a4c762df287ff8304843bf53a2a777a2e0761f0f74a",
+    "factor_countable/p=2": "3aae042698460dc14160a8b342da84204a608be81764d81a5ecb6fec773a98ce",
+    "factor_countable/p=3": "1e096ac986178b0df0920b77b7acb9d278ccb2c6128732fd5e6d5b0880c3aea3",
+    "factor_countable/p=inf": "c0d7e71be3a0ebea72d870f82d5b49abbe3990f6775ac2d172b758d8ba22b957",
+    "factor_seq/finite": "c6ecc942328156eeb462cf72ed6dd3e44c5d4464212efb2df99fb150ea49efa8",
+    "factor_seq/tail": "6c894679df68b58d840bba380098de09cbfad14eced6f55c25c0dab735268c3d",
 }
 
 

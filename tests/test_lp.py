@@ -234,6 +234,32 @@ class TestQuantizeGrid:
         assert tq == (k + 1) * delta
         assert tq <= t and t - tq <= delta
 
+    @pytest.mark.parametrize(
+        "value, gamma",
+        [
+            # upward: int(t / gamma) gamma is right, but (k + 1) gamma rounds
+            # onto the input, so the value snaps one step further
+            (6538956.242703294, 5.962359512103355e-06),
+            # downward: ceil(t / gamma) - 1 steps already reach the input
+            (-5089728.365640334, 9.469211904765572e-06),
+        ],
+    )
+    def test_gamma_grid_fix_up_steps(self, value, gamma):
+        t = abs(value)
+        if value > 0:
+            k = int(t / gamma)
+            assert (k + 1) * gamma == t  # the upward step is taken
+        else:
+            k = math.ceil(t / gamma) - 1
+            assert k * gamma >= t  # the downward step is taken
+        snapped = snap_to_gamma_grid(value, gamma, math.inf)
+        assert math.copysign(1.0, snapped) == math.copysign(1.0, value)
+        assert abs(snapped) >= gamma
+        assert abs(snapped - value) <= gamma + math.ulp(snapped)
+        if value > 0:
+            assert snapped == 6538956.242709258
+            assert abs(snapped - value) > gamma  # one rounding past gamma
+
     def test_subresolution_grid_is_identity(self):
         # more than 2^53 steps to either value: a double cannot tell the
         # nearest grid point from the value itself

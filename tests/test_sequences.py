@@ -98,19 +98,37 @@ class TestExamples:
                     factor_seq((0,), (0,), (z,), eps, strategy)
                 assert err.value.bound == bound
 
-    def test_auto_is_finite(self):
-        auto = factor_seq((1, 2), (1, 1), (1.03, 2.01), 1.0, "auto")
-        finite = factor_seq((1, 2), (1, 1), (1.03, 2.01), 1.0, "finite")
-        assert auto == finite
-
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            factor_seq((1,), (1,), (1.01,), 1.0, "greedy")
+        for strategy in ("greedy", "auto"):
+            with pytest.raises(ValueError):
+                factor_seq((1,), (1,), (1.01,), 1.0, strategy)
+
+    def test_default_is_finite(self):
+        default = factor_seq((1, 2), (1, 1), (1.03, 2.01), 1.0)
+        assert default == factor_seq((1, 2), (1, 1), (1.03, 2.01), 1.0, "finite")
+
+    @pytest.mark.parametrize("strategy", ["finite", "tail"])
+    @pytest.mark.parametrize(
+        "x, y, z",
+        [
+            ([1.0], [1.0], [math.nan]),
+            ([math.inf], [1.0], [1.0]),
+            ([1.0, 2.0], [math.inf, 0.0], [1.0, 0.0]),
+            ([1.0], [1.0], [-math.inf]),
+        ],
+    )
+    def test_non_finite_entries_rejected(self, x, y, z, strategy):
+        # a non-finite entry is bad input, not an infeasible instance
+        with pytest.raises(ValueError, match="coefficients must be finite reals"):
+            factor_seq(x, y, z, 1.0, strategy)
 
     def test_infinite_eps_rejected(self):
-        # every radius would be infinite, and the kernel's balanced split NaN
-        with pytest.raises(ValueError):
-            factor_seq((1,), (1,), (1.05,), math.inf)
+        # every radius would be infinite, and the kernel's balanced split NaN;
+        # a NaN eps is bad input too, not an infeasible instance
+        for solve in (factor_seq, seq_split):
+            for eps in (math.inf, math.nan):
+                with pytest.raises(ValueError, match="eps must be positive and finite"):
+                    solve((1,), (1,), (1.05,), eps)
 
     @pytest.mark.parametrize("strategy", ["finite", "tail"])
     @pytest.mark.parametrize(
@@ -233,7 +251,7 @@ def reference_seq_split(x, y, z, eps, strategy):
     agree = frozenset(i for i, d in enumerate(diffs) if d == 0.0)
     if not working:
         return agree, 0.0, {}, {}
-    if strategy in ("auto", "finite"):
+    if strategy == "finite":
         eta = defect
         lambdas = {i: diffs[i] / eta for i in working}
         radii = {i: (lambdas[i] * eps / 2.0, eps / 2.0) for i in working}
@@ -276,7 +294,7 @@ def reference_cases():
 
 
 class TestReferenceEquality:
-    @pytest.mark.parametrize("strategy", ["finite", "tail", "auto"])
+    @pytest.mark.parametrize("strategy", ["finite", "tail"])
     def test_seq_split_matches_per_index_loop(self, strategy):
         for x, y, z, eps in reference_cases():
             split = seq_split(x, y, z, eps, strategy)

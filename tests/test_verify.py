@@ -225,10 +225,19 @@ class TestJsonInterchange:
             u=(1 / 3, 2.0), v=(3.0, -1e-17), radius_u=0.5, radius_v=0.5,
             strict_v=False,
         )
-        back = FactorizationCertificate.from_json(
-            json.loads(json.dumps(cert.to_json()))
-        )
+        payload = cert.to_json()
+        assert "product_tolerance" not in payload
+        back = FactorizationCertificate.from_json(json.loads(json.dumps(payload)))
         assert back == cert
+
+    def test_stale_keys_are_ignored(self):
+        # older files carry a certificate product_tolerance and a space "units"
+        payload = single_atom_instance().to_json()
+        payload["space"]["units"] = "cm"
+        assert lpfactor.instance_from_json(payload) == single_atom_instance()
+        cert = FactorizationCertificate(u=(2.0,), v=(3.1,), radius_u=1.0, radius_v=1.0)
+        stale = dict(cert.to_json(), product_tolerance=0.5)
+        assert FactorizationCertificate.from_json(stale) == cert
 
 
 class TestGenerator:
@@ -392,3 +401,70 @@ class TestRoundTripAndMutation:
             inst = gen_instance(spec)
             cert = factor_countable(inst.f, inst.g, inst.h, inst.p, inst.eps)
             assert verify_certificate(inst, cert).passed
+
+
+
+def _split_at_infinite_p():
+    inst = single_atom_instance()
+    return lpfactor.agreement_split(inst.f, inst.g, inst.h, "inf", inst.eps)
+
+
+def _instance_on_two_spaces():
+    f = SimpleFunction(MeasureSpace.from_measures([1.0]), (1.0,))
+    g = SimpleFunction(MeasureSpace.from_measures([2.0]), (1.0,))
+    return LpInstance(f, g, f, Exponent(2), 1.0)
+
+
+def _one_atom_certificate():
+    return FactorizationCertificate(u=(1.0,), v=(1.0,), radius_u=1.0, radius_v=1.0)
+
+
+def _spec(**changes):
+    fields = dict(kind="seq", n=5, eps=1.0, defect_fraction=0.5, seed=1)
+    return InstanceSpec(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: FactorizationCertificate(
+                u=(1.0,), v=(1.0, 2.0), radius_u=1.0, radius_v=1.0
+            ),
+            "factor pair lengths differ",
+        ),
+        (_split_at_infinite_p, "requires finite p"),
+        (lambda: _spec(kind="xy"), "kind must be"),
+        (lambda: _spec(n=0), "at least one atom"),
+        (lambda: _spec(eps=0.0), "eps must be positive"),
+        (lambda: _spec(eps=math.nan), "eps must be positive and finite"),
+        (lambda: _spec(eps=math.inf), "eps must be positive and finite"),
+        (lambda: _spec(kind="lp"), "need an exponent p"),
+        (_instance_on_two_spaces, "share one measure space"),
+        (lambda: lpfactor.instance_from_json({"kind": "matrix"}), "unknown instance kind"),
+        (lambda: MeasureSpace(("a", "b"), (1.0,)), "atom and measure counts differ"),
+        (lambda: MeasureSpace(("a", "a"), (1.0, 1.0)), "must be unique"),
+        (
+            lambda: SimpleFunction(MeasureSpace.from_measures([1.0]), (1.0, 2.0)),
+            "2 coefficients for 1 atoms",
+        ),
+        (
+            lambda: lpfactor.truncate_support(single_atom_instance().f, 0.0),
+            "eps must be positive",
+        ),
+        (
+            lambda: verify_certificate(
+                SeqInstance(x=(1.0, 2.0), y=(1.0, 1.0), z=(1.0, 2.0), eps=1.0),
+                _one_atom_certificate(),
+            ),
+            "shorter than the instance prefix",
+        ),
+        (
+            lambda: verify_certificate(object(), _one_atom_certificate()),
+            "unknown instance type",
+        ),
+    ],
+)
+def test_public_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
