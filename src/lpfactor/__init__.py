@@ -17,8 +17,6 @@ from .instances import (
     SeqInstance,
     instance_from_json,
     load_instance,
-    simple_function_from_json,
-    simple_function_to_json,
     space_from_json,
     space_to_json,
 )
@@ -81,8 +79,6 @@ __all__ = [
     "quantize_grid",
     "select_params",
     "seq_split",
-    "simple_function_from_json",
-    "simple_function_to_json",
     "snap_to_gamma_grid",
     "space_from_json",
     "space_to_json",

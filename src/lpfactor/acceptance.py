@@ -196,7 +196,7 @@ def criterion_5(seed: int = BASE_SEED, count: int = 1000) -> Measured:
 # 6. Closed ball on the v side for p = 1
 # ---------------------------------------------------------------------------
 def criterion_6(seed: int = BASE_SEED) -> Measured:
-    space = MeasureSpace.from_measures([1.0])
+    space = MeasureSpace([1.0])
     instance = LpInstance(
         f=SimpleFunction(space, (1.0,)),
         g=SimpleFunction(space, (0.0,)),

@@ -1,9 +1,10 @@
 """Command-line surface: solve, verify, generate and sweep.
 
-Exit codes: 0 on success/pass, 2 on a feasibility error (the target is too
-far from the product), 3 on a verification failure.  All payloads are flat
-JSON; floats serialize with Python's shortest round-trip representation, so
-values survive a write/read cycle exactly.
+Exit codes: 0 on success/pass, 1 on bad input (one line on stderr), 2 on a
+feasibility error (the target is too far from the product), 3 on a
+verification failure.  All payloads are flat JSON; floats serialize with
+Python's shortest round-trip representation, so values survive a write/read
+cycle exactly.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .sequences import STRATEGIES, factor_seq
 from .verify import verify_certificate
 
 EXIT_OK = 0
+EXIT_BAD_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAILED = 3
 
@@ -61,11 +63,11 @@ def _cmd_factor(args) -> int:
         data["eps"] = args.eps
     if "p" not in data or "eps" not in data:
         print("instance file lacks p/eps; pass --p and --eps", file=sys.stderr)
-        return 1
+        return EXIT_BAD_INPUT
     instance = instance_from_json(data)
     if not isinstance(instance, LpInstance):
         print("factor expects an LP instance; use factor-seq for sequences", file=sys.stderr)
-        return 1
+        return EXIT_BAD_INPUT
     solver = factor_general if args.pipeline == "full" else factor_countable
     cert = solver(instance.f, instance.g, instance.h, instance.p, instance.eps)
     _emit(cert.to_json(), args.output)
@@ -81,12 +83,12 @@ def _cmd_factor_seq(args) -> int:
         data["eps"] = args.eps
     if "eps" not in data:
         print("instance file lacks eps; pass --eps", file=sys.stderr)
-        return 1
+        return EXIT_BAD_INPUT
     data.setdefault("kind", "seq")
     instance = instance_from_json(data)
     if not isinstance(instance, SeqInstance):
         print("factor-seq expects a sequence instance", file=sys.stderr)
-        return 1
+        return EXIT_BAD_INPUT
     cert = factor_seq(instance.x, instance.y, instance.z, instance.eps, args.strategy)
     _emit(cert.to_json(), args.output)
     return EXIT_OK
@@ -216,6 +218,9 @@ def main(argv=None) -> int:
     except FeasibilityError as exc:
         print(f"infeasible: defect {exc.defect} >= bound {exc.bound}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ValueError as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

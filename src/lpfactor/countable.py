@@ -15,13 +15,13 @@ With counting measure (all atom measures 1) this specializes to the
 sequence spaces l_p x l_q.
 
 Every L_p solver enters through one checked edge, ``_lp_inputs``: a
-positive finite eps, and f, g and h on one space.  The ``SimpleFunction``
-constructors have already checked coefficients and measures, so
-``factor_countable`` only adds membership (f in L_p, g in L_q, h in L_1),
-through the cheap sufficient bound of ``norm_is_finite``, and answers p = oo
-by the certificate's one swap.  ``_tuple_split`` computes E, eta and the
-radii once, which ``agreement_split`` wraps and ``factor_countable`` hands
-to ``scalar._split_atoms`` for the per-atom work on bare floats.  An atom
+positive finite eps, f, g and h on one space, and membership (f in L_p, g
+in L_q, h in L_1) through the cheap sufficient bound of ``norm_is_finite``.
+The ``SimpleFunction`` constructors have already checked coefficients and
+measures.  ``factor_countable`` answers p = oo by the certificate's one
+swap.  ``_tuple_split`` computes E, eta and the radii once, which
+``agreement_split`` wraps and ``factor_countable`` hands to
+``scalar._split_atoms`` for the per-atom work on bare floats.  An atom
 whose float radii starve the kernel gets the checked fallback, against
 rational lower bounds of its true radii; if one lies below the smallest
 double, no double meets it and FeasibilityError says so.
@@ -42,6 +42,7 @@ from .measure import (
     Exponent,
     SimpleFunction,
     _same_space,
+    check_eps,
     conjugate,
     l1_defect,
     norm,  # noqa: F401  (bench/spans.py traces calls through this name)
@@ -71,15 +72,18 @@ def _lp_inputs(f: SimpleFunction, g: SimpleFunction, h: SimpleFunction, p, eps):
     """The checked edge of every L_p solver: (fs, gs, hs, measures, p).
 
     Coerces p to an ``Exponent`` and raises ValueError unless eps is
-    positive and finite (NaN fails too) and f, g and h share one space.
+    positive and finite, f, g and h share one space, and f is in L_p, g in
+    L_q and h in L_1.  Membership is checked before any p = oo swap, so the
+    error names the function the caller passed.
     """
     if not isinstance(p, Exponent):
         p = Exponent(p)
-    if not 0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
+    check_eps(eps)
     _same_space(f, g)
     _same_space(f, h)
-    return f.coefficients, g.coefficients, h.coefficients, f.space.measures, p
+    fs, gs, hs = f.coefficients, g.coefficients, h.coefficients
+    check_memberships(fs, gs, hs, f.space.measures, p)
+    return fs, gs, hs, f.space.measures, p
 
 
 def split_defects(fs, gs, hs, measures, eps: float, context: str):
@@ -212,7 +216,6 @@ def factor_countable(
     fs, gs, hs, measures, p = _lp_inputs(f, g, h, p, eps)
     if p.is_infinite:
         return factor_countable(g, f, h, _L1, eps).transposed()
-    check_memberships(fs, gs, hs, measures, p)
     _, outside, _, scale, radii = _tuple_split(fs, gs, hs, measures, p, eps)
     u, v = copy_pairs(fs, gs, hs, outside)
 

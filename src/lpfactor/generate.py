@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .instances import LpInstance, SeqInstance
-from .measure import INFINITE, Exponent, MeasureSpace, SimpleFunction, norm
+from .measure import INFINITE, Exponent, MeasureSpace, SimpleFunction, check_eps, norm
 
 __all__ = ["InstanceSpec", "gen_instance"]
 
@@ -51,8 +51,7 @@ class InstanceSpec:
             raise ValueError("defect_fraction must lie strictly in (0, 1)")
         if self.n < 1:
             raise ValueError("need at least one atom")
-        if not 0.0 < self.eps < math.inf:  # NaN fails too
-            raise ValueError("eps must be positive and finite")
+        check_eps(self.eps)
         if self.kind == "lp" and self.p is None:
             raise ValueError("LP instances need an exponent p")
 
@@ -60,17 +59,16 @@ class InstanceSpec:
 def _rescaled(values, rng, lo, hi, expo, measures=None):
     """Scale values so their L_expo norm hits a log-uniform draw in [lo, hi]."""
     if hi <= 1.0 and lo <= 1.0:
-        return values, 1.0
+        return values
     target = math.exp(rng.uniform(math.log(lo), math.log(hi)))
     if measures is None:
         current = math.fsum(abs(c) for c in values)  # only used for l1
     else:
-        space = MeasureSpace.from_measures(measures)
-        current = norm(SimpleFunction(space, tuple(values)), expo)
+        current = norm(SimpleFunction(MeasureSpace(measures), tuple(values)), expo)
     if current == 0.0 or math.isinf(current):
-        return values, 1.0
+        return values
     factor = target / current
-    return [c * factor for c in values], factor
+    return [c * factor for c in values]
 
 
 def gen_instance(spec: InstanceSpec) -> Union[LpInstance, SeqInstance]:
@@ -84,7 +82,7 @@ def _gen_seq(spec: InstanceSpec, rng: random.Random) -> SeqInstance:
     n = spec.n
     x = [rng.uniform(-3.0, 3.0) if rng.random() > 0.1 else 0.0 for _ in range(n)]
     y = [rng.uniform(-3.0, 3.0) if rng.random() > 0.1 else 0.0 for _ in range(n)]
-    x, _ = _rescaled(x, rng, spec.scale_min, spec.scale_max, Exponent(1))
+    x = _rescaled(x, rng, spec.scale_min, spec.scale_max, Exponent(1))
     pert = [rng.uniform(-1.0, 1.0) for _ in range(n)]
     if not any(pert):
         pert[0] = 1.0
@@ -106,8 +104,8 @@ def _gen_lp(spec: InstanceSpec, rng: random.Random) -> LpInstance:
         measures[0] = rng.uniform(0.05, 10.0)
     f = [rng.uniform(-3.0, 3.0) if rng.random() > 0.1 else 0.0 for _ in range(n)]
     g = [rng.uniform(-3.0, 3.0) if rng.random() > 0.1 else 0.0 for _ in range(n)]
-    f, _ = _rescaled(f, rng, spec.scale_min, spec.scale_max, p, measures)
-    g, _ = _rescaled(g, rng, spec.scale_min, spec.scale_max, q, measures)
+    f = _rescaled(f, rng, spec.scale_min, spec.scale_max, p, measures)
+    g = _rescaled(g, rng, spec.scale_min, spec.scale_max, q, measures)
 
     # Rescale the perturbation so the positive-measure atoms carry exactly
     # the target defect; null atoms may still be perturbed (for free).
@@ -126,7 +124,7 @@ def _gen_lp(spec: InstanceSpec, rng: random.Random) -> LpInstance:
         f.append(0.0)
         g.append(rng.uniform(-3.0, 3.0) if q.is_infinite else 0.0)
         h.append(0.0)
-    space = MeasureSpace.from_measures(measures)
+    space = MeasureSpace(measures)
     return LpInstance(
         f=SimpleFunction(space, tuple(f)),
         g=SimpleFunction(space, tuple(g)),

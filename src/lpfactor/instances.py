@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import and_, mul, sub, truth
 from typing import Union
 
 from .measure import INFINITE, Exponent, MeasureSpace, SimpleFunction
-from .measure import fsum_or_inf, l1_defect
+from .measure import check_eps, fsum_or_inf, l1_defect
 
 __all__ = [
     "LpInstance",
@@ -24,36 +25,21 @@ __all__ = [
     "load_instance",
     "space_to_json",
     "space_from_json",
-    "simple_function_to_json",
-    "simple_function_from_json",
 ]
 
 
 def space_to_json(space: MeasureSpace) -> dict:
     return {
-        "atoms": [
-            {"id": a, "measure": "inf" if math.isinf(m) else m}
-            for a, m in zip(space.atoms, space.measures)
-        ]
+        "atoms": [{"measure": "inf" if math.isinf(m) else m} for m in space.measures]
     }
 
 
 def space_from_json(data: dict) -> MeasureSpace:
-    """The space of ``space_to_json``; other keys, such as "units", are ignored."""
-    atoms = tuple(entry["id"] for entry in data["atoms"])
-    measures = tuple(
+    """The space of ``space_to_json``; other keys, such as atom ids, are ignored."""
+    return MeasureSpace(
         INFINITE if entry["measure"] == "inf" else float(entry["measure"])
         for entry in data["atoms"]
     )
-    return MeasureSpace(atoms, measures)
-
-
-def simple_function_to_json(f: SimpleFunction) -> dict:
-    return {"space": space_to_json(f.space), "coefficients": list(f.coefficients)}
-
-
-def simple_function_from_json(data: dict) -> SimpleFunction:
-    return SimpleFunction(space_from_json(data["space"]), tuple(data["coefficients"]))
 
 
 @dataclass(frozen=True)
@@ -64,9 +50,8 @@ class LpInstance:
     p: Exponent
     eps: float
 
-    kind = "lp"
-
     def __post_init__(self):
+        check_eps(self.eps)
         if not (self.f.space == self.g.space == self.h.space):
             raise ValueError("f, g, h must share one measure space")
 
@@ -115,12 +100,12 @@ class SeqInstance:
     z: tuple
     eps: float
 
-    kind = "seq"
-
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(map(float, self.x)))
-        object.__setattr__(self, "y", tuple(map(float, self.y)))
-        object.__setattr__(self, "z", tuple(map(float, self.z)))
+        check_eps(self.eps)
+        for name in ("x", "y", "z"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        if not all(map(math.isfinite, chain(self.x, self.y, self.z))):
+            raise ValueError("coefficients must be finite reals")
 
     def padded(self) -> tuple:
         n = max(len(self.x), len(self.y), len(self.z))

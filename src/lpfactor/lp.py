@@ -22,11 +22,10 @@ of the true grid.
 Validation happens at the public edges: the ``SimpleFunction`` and
 ``MeasureSpace`` constructors check finiteness and measures, both pipelines
 enter through ``countable``'s one checked edge (a positive finite eps, one
-space), ``factor_general`` checks membership (f in L_p, g in L_q, h in L_1)
-through the cheap sufficient bound of ``norm_is_finite``, and p = oo is
-answered by the certificate's one swap.  Both pipelines hand ``_bounded``
-plain tuples: coefficients, measures, the flagged atoms and the defect
-already computed.  ``_bounded`` quantizes with ``quantize_grid`` and
+space, and membership: f in L_p, g in L_q, h in L_1), and p = oo is answered
+by the certificate's one swap.  Both pipelines hand ``_bounded`` plain
+tuples: coefficients, measures, the flagged atoms and the defect already
+computed.  ``_bounded`` quantizes with ``quantize_grid`` and
 ``quantize_geometric`` (coefficient tuples in, coefficient tuples out) and
 solves the quantized problem with the public ``factor_countable``, which
 checks membership of the quantized functions.
@@ -41,7 +40,7 @@ from operator import and_, mul, not_, truth
 from typing import Optional, Sequence, Union
 
 from .certificates import FactorizationCertificate
-from .countable import _lp_inputs, check_memberships, copy_pair, copy_pairs
+from .countable import _lp_inputs, copy_pair, copy_pairs
 from .countable import factor_countable, split_defects
 from .errors import FeasibilityError
 from .measure import (
@@ -362,7 +361,7 @@ def _bounded(fs, gs, hs, measures, core, defect, p, eps, u, v):
     f_q = quantize_grid(f_c, params.delta)
     g_q = quantize_grid(g_c, params.delta)
     h_q = quantize_geometric(h_c, params.d, m)
-    space = MeasureSpace.from_measures(mus)
+    space = MeasureSpace(mus)
     inner = factor_countable(
         SimpleFunction(space, f_q),
         SimpleFunction(space, g_q),
@@ -428,7 +427,6 @@ def factor_general(
     fs, gs, hs, measures, p = _lp_inputs(f, g, h, p, eps)
     if p.is_infinite:
         return factor_general(g, f, h, _L1, eps).transposed()
-    check_memberships(fs, gs, hs, measures, p)
     defects, outside, defect = split_defects(
         fs, gs, hs, measures, eps, "general factorization"
     )

@@ -1,10 +1,10 @@
 """Atomic measure spaces, simple functions, Lp norms and support truncation.
 
 Everything downstream works over a fixed finite partition: a measure space is
-an ordered list of atoms, each carrying a nonnegative (possibly infinite)
-measure, and a simple function assigns one real coefficient per atom.  The
-distinguished value ``INFINITE`` (``math.inf``) is allowed as an atom measure;
-it is never produced by arithmetic, and the measure-theoretic convention
+the ordered tuple of its atoms' nonnegative (possibly infinite) measures, and
+a simple function assigns one real coefficient per atom.  The distinguished
+value ``INFINITE`` (``math.inf``) is allowed as an atom measure; it is never
+produced by arithmetic, and the measure-theoretic convention
 ``0 * INFINITE = 0`` is applied throughout.
 
 Exponents live in [1, oo], finite ones as exact rationals (``Fraction``) so
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import mul, truediv
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 INFINITE = math.inf
 
@@ -65,65 +65,41 @@ _NONNEGATIVE = (0.0).__le__  # False for NaN as well as for negatives
 _POSITIVE = (0.0).__lt__
 
 
+def check_eps(eps: float) -> None:
+    """Raise ValueError unless 0 < eps < oo, the radius every edge accepts."""
+    if not 0.0 < eps < INFINITE:  # NaN fails too
+        raise ValueError("eps must be positive and finite")
+
+
 # ---------------------------------------------------------------------------
 # Measure spaces
 # ---------------------------------------------------------------------------
-# "a0", "a1", ... up to the largest space from_measures has built; every
-# space slices it, so the default atom names exist once per process rather
-# than once per space.
-_ATOM_NAMES: tuple = ()
-
-
-def _atom_names(n: int) -> tuple:
-    global _ATOM_NAMES
-    names = _ATOM_NAMES
-    if len(names) < n:
-        names = names + tuple(f"a{i}" for i in range(len(names), n))
-        _ATOM_NAMES = names
-    return names[:n]
-
-
 @dataclass(frozen=True)
 class MeasureSpace:
-    """A finite atomic measure space.
+    """A finite atomic measure space: its atoms' measures, in a fixed order.
 
     Parameters
     ----------
-    atoms : tuple of str
-        Unique atom identifiers, in a fixed order.
     measures : tuple of float
         One nonnegative measure per atom; ``INFINITE`` is allowed.
     """
 
-    atoms: tuple
     measures: tuple
 
     def __post_init__(self):
-        atoms = tuple(self.atoms)
         measures = tuple(map(float, self.measures))
-        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "measures", measures)
-        if len(atoms) != len(measures):
-            raise ValueError("atom and measure counts differ")
-        if len(set(atoms)) != len(atoms):
-            raise ValueError("atom identifiers must be unique")
         if not all(map(_NONNEGATIVE, measures)):
             bad = next(m for m in measures if not m >= 0)
             raise ValueError(f"atom measure must be >= 0 or INFINITE, got {bad!r}")
 
     def __len__(self) -> int:
-        return len(self.atoms)
-
-    @classmethod
-    def from_measures(cls, measures: Iterable[float]) -> "MeasureSpace":
-        """A space with atoms "a0", "a1", ... carrying the given measures."""
-        ms = tuple(measures)
-        return cls(_atom_names(len(ms)), ms)
+        return len(self.measures)
 
     @classmethod
     def counting(cls, n: int) -> "MeasureSpace":
         """Counting measure on n atoms; turns L_p into the sequence space l_p."""
-        return cls.from_measures([1.0] * n)
+        return cls((1.0,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +313,12 @@ class TruncationResult:
 
     Fields
     ------
-    kept_atoms : tuple of atom identifiers (the set A)
-    kept_indices : tuple of int, the positions of A in the space
+    kept_indices : tuple of int, the positions of the atoms of A in the space
     tail_value : float, the integral of |f| outside A
     sup_on_A : float, the largest |f| over A (0 for empty A)
     level : int, the threshold k with A = {1/k <= |f| <= k}
     """
 
-    kept_atoms: tuple
     kept_indices: tuple
     tail_value: float
     sup_on_A: float
@@ -413,7 +387,6 @@ def truncate_support(f: SimpleFunction, eps: float) -> TruncationResult:
             raise AssertionError("no truncation level found")
     kept = sorted(map(support.__getitem__, order[:kept_upto]))
     return TruncationResult(
-        kept_atoms=tuple(map(f.space.atoms.__getitem__, kept)),
         kept_indices=tuple(kept),
         tail_value=suffix[kept_upto],
         sup_on_A=max(map(abs, map(coeffs.__getitem__, kept)), default=0.0),

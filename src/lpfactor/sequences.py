@@ -29,7 +29,7 @@ from operator import ge, mul, sub, truediv
 from typing import Iterable, Sequence
 
 from .certificates import FactorizationCertificate
-from .measure import fsum_or_inf
+from .measure import check_eps, fsum_or_inf
 from .countable import AgreementSplit
 from .errors import FeasibilityError
 from .scalar import _split_atoms
@@ -88,8 +88,7 @@ def _padded_split(x, y, z, eps, strategy):
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
-    if not 0.0 < eps < math.inf:  # NaN fails too
-        raise ValueError("eps must be positive and finite")
+    check_eps(eps)
     xs, ys, zs = padded = _pad(x, y, z)
     diffs = tuple(map(abs, map(sub, zs, map(mul, xs, ys))))
     # Zero terms leave an exact sum unchanged.

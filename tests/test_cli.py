@@ -42,6 +42,18 @@ class TestLemma1:
         assert "infeasible" in err
 
 
+# An LP instance in the current file format, without an exponent; f lies in
+# L_oo but not in L_p for finite p.
+LP_WITHOUT_P = {
+    "kind": "lp",
+    "space": {"atoms": [{"measure": 1.0}, {"measure": "inf"}]},
+    "f": [1.0, 3.0],
+    "g": [1.0, 0.0],
+    "h": [1.01, 0.0],
+    "eps": 1.0,
+}
+
+
 class TestPipelineFiles:
     def test_gen_factor_verify_lp(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -204,12 +216,53 @@ class TestPipelineFiles:
     def test_non_finite_eps_is_bad_input_not_infeasible(self, tmp_path, capsys):
         inst = tmp_path / "seq.json"
         inst.write_text(json.dumps({"x": [1.0], "y": [1.0], "z": [1.01]}))
-        with pytest.raises(ValueError, match="eps must be positive and finite"):
-            main(["factor-seq", "--instance", str(inst), "--eps", "nan"])
+        nan_inst = tmp_path / "nan.json"
+        nan_inst.write_text('{"kind": "seq", "x": [1], "y": [1], "z": [1], "eps": NaN}')
+        cert = tmp_path / "cert.json"
+        cert.write_text(
+            json.dumps({"u": [1.0], "v": [1.0], "radius_u": 1.0, "radius_v": 1.0})
+        )
         out = tmp_path / "gen.json"
-        with pytest.raises(ValueError, match="eps must be positive and finite"):
-            main(["gen", "--kind", "seq", "--eps", "nan", "--out", str(out)])
+        for argv in (
+            ["factor-seq", "--instance", str(inst), "--eps", "nan"],
+            ["gen", "--kind", "seq", "--eps", "nan", "--out", str(out)],
+            ["gen", "--eps", "nan", "--out", str(out)],
+            ["verify", "--instance", str(nan_inst), "--certificate", str(cert)],
+        ):
+            code, stdout, err = run(capsys, *argv)
+            assert (code, stdout) == (1, "")
+            assert err == "bad input: eps must be positive and finite\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, instance, code, message",
+        [
+            (["factor", "--p", "inf"], LP_WITHOUT_P, 0, ""),
+            (["factor"], LP_WITHOUT_P, 1, "instance file lacks p/eps; pass --p and --eps"),
+            (
+                ["factor", "--p", "2"],
+                {"kind": "seq", "x": [1], "y": [1], "z": [1.01], "eps": 1.0},
+                1,
+                "factor expects an LP instance; use factor-seq for sequences",
+            ),
+            (
+                ["factor-seq"],
+                {**LP_WITHOUT_P, "p": 2},
+                1,
+                "factor-seq expects a sequence instance",
+            ),
+        ],
+    )
+    def test_instance_file_branches(
+        self, tmp_path, capsys, command, instance, code, message
+    ):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(instance))
+        got, out, err = run(capsys, *command, "--instance", str(inst))
+        assert (got, err) == (code, message + "\n" if message else "")
+        if code == 0:  # --p inf certifies as a file that holds "p": "inf"
+            inst.write_text(json.dumps({**instance, "p": "inf"}))
+            assert run(capsys, "factor", "--instance", str(inst)) == (0, out, "")
 
     @pytest.mark.parametrize(
         "command, instance",

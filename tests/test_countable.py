@@ -22,7 +22,7 @@ from lpfactor import (
 
 
 def build(measures, f, g, h):
-    space = MeasureSpace.from_measures(measures)
+    space = MeasureSpace(measures)
     return (
         SimpleFunction(space, tuple(f)),
         SimpleFunction(space, tuple(g)),
@@ -211,8 +211,7 @@ class TestContracts:
         cases = (
             # f is nonzero on an INFINITE atom: not in L_2
             ([INFINITE, 1.0], (1.0, 1.0), (0.0, 1.0), (0.0, 1.05), (factor_countable,)),
-            # ||f||_2^2 = 1e620 overflows binary64; factor_bounded checks
-            # membership only on the quantized functions it solves
+            # ||f||_2^2 = 1e620 overflows binary64
             (
                 [1e40, 1.0],
                 (1e290, 1.0),
@@ -244,11 +243,26 @@ class TestCheckedEdge:
     @pytest.mark.parametrize("measures", [[1.0, 2.0], [1.0, 2.0, 4.0]])
     def test_functions_share_one_space(self, solve, p, measures):
         f, g, h = build([1.0, 2.0, 3.0], [1.0] * 3, [1.0] * 3, [1.0, 1.0, 1.01])
-        space = MeasureSpace.from_measures(measures)
+        space = MeasureSpace(measures)
         other = SimpleFunction(space, [1.0] * len(measures))
         for args in ((f, other, h), (f, g, other)):
             with pytest.raises(ValueError, match="different measure spaces"):
                 solve(*args, p, 1.0)
+
+
+@pytest.mark.parametrize(
+    "solve", [factor_countable, factor_bounded, factor_general, agreement_split]
+)
+@pytest.mark.parametrize(
+    "p, f, g, name",
+    [(INFINITE, (1.0, 0.0), (1.0, 2.0), "g"), (2, (1.0, 3.0), (1.0, 0.0), "f")],
+)
+def test_membership_is_checked_before_the_swap(solve, p, f, g, name):
+    # g is not in L_1 at p = oo, and f not in L_2 at p = 2: nonzero on the
+    # INFINITE atom.  The error names the function the caller passed.
+    f, g, h = build([1.0, INFINITE], f, g, (1.01, 0.0))
+    with pytest.raises(ValueError, match=f"^{name} has infinite norm"):
+        solve(f, g, h, p, 1.0)
 
 
 def random_instance(rng, p, n=None, scale=1.0):

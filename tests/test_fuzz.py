@@ -86,7 +86,7 @@ def hostile_lp(rng):
             h[i] = f[i] * g[i]
     if not all(map(math.isfinite, h)):
         return None
-    space = MeasureSpace.from_measures(measures)
+    space = MeasureSpace(measures)
     return LpInstance(
         f=SimpleFunction(space, tuple(f)),
         g=SimpleFunction(space, tuple(g)),

@@ -46,11 +46,11 @@ GOLDEN = {
     "factor_general/p=2": "0632e97294511ffaf2727e9459032b9df2d96c5fac703e14668580546c560cdb",
     "factor_general/p=3": "6de3ce3f9f664aa8f777cdebc4ca2c30a0d3dc9f0da98c1b54048752759a0f27",
     "factor_general/p=inf": "20a37a91228323fd5f82abbf6cd2929a49e28f247ce21c9c9dbd6e3128019807",
-    "factor_bounded/p=1": "004010157cdd506814edcd4ea31a8eb2a9fabd9a00e50bd7047f8aa3b6dc3a26",
-    "factor_bounded/p=1.5": "5fceb7cbbfd2a0f9d60a0c4ff538550f98ad40b90f925ce14d6407d459fbdce6",
-    "factor_bounded/p=2": "cefd2f6e36df57fc2ebba6d41c106ff714d357a7f3288186992821a4220bb7d9",
-    "factor_bounded/p=3": "b77c589af949b70ae52aa569671946f7e2b56d97566ccbc178c92bbf8938518f",
-    "factor_bounded/p=inf": "1cf6c6877a92a1e2181e15c758fa8035b4d19269028c98a175cebadfa75479c6",
+    "factor_bounded/p=1": "58c99436ef7b8aba99462adefea5f6863ac0e8951055b4702ccb34f464966282",
+    "factor_bounded/p=1.5": "2e73aa2a01664dde5d1c291c2a15906e1e4b8bfa10a2c8a65dbaeb858f8b7f14",
+    "factor_bounded/p=2": "65f933d8924d18d2c09f3b253c9ce31f83ae06c023df68adbf72c830e02861ad",
+    "factor_bounded/p=3": "17e659d0bef53daddc758c86afb3d19033318bd3bfa81931ec86c74f7f5f6e7b",
+    "factor_bounded/p=inf": "2cf16fdd29e9ecb8075d6bf972a80951a69cfefaf81a9ded6a1a44ac35fa651f",
     "factor_countable/p=1": "af716062e9309cf4b229e8d3862a63c43628fd41d6d504c42b513c8aa7f2baba",
     "factor_countable/p=1.5": "56f5670651f0fb0c61557a4c762df287ff8304843bf53a2a777a2e0761f0f74a",
     "factor_countable/p=2": "3aae042698460dc14160a8b342da84204a608be81764d81a5ecb6fec773a98ce",
@@ -110,7 +110,7 @@ EDGES = (
 
 def _edge_instances(p):
     for measures, f, g, h, eps in EDGES:
-        space = MeasureSpace.from_measures(measures)
+        space = MeasureSpace(measures)
         yield LpInstance(
             SimpleFunction(space, tuple(f)),
             SimpleFunction(space, tuple(g)),

@@ -34,7 +34,7 @@ from lpfactor import (
 
 
 def build(measures, f, g, h):
-    space = MeasureSpace.from_measures(measures)
+    space = MeasureSpace(measures)
     return (
         SimpleFunction(space, tuple(f)),
         SimpleFunction(space, tuple(g)),
@@ -317,7 +317,7 @@ class TestQuantizeGeometric:
         # The child process puts a hard limit on the wait.
         code = (
             "from lpfactor import *\n"
-            "space = MeasureSpace.from_measures([1.0, 1e3])\n"
+            "space = MeasureSpace([1.0, 1e3])\n"
             "f = SimpleFunction(space, (1.0, 1e-3))\n"
             "g = SimpleFunction(space, (0.0, 1e-3))\n"
             "h = SimpleFunction(space, (5e-324, 1e-6 + 1e-9))\n"
@@ -366,7 +366,7 @@ class TestGammaGrid:
 
 class TestFactorBounded:
     def test_exact_product_returns_inputs(self):
-        space = MeasureSpace.from_measures([1, 2])
+        space = MeasureSpace([1, 2])
         f = SimpleFunction(space, (1.5, -2))
         g = SimpleFunction(space, (2, 0.5))
         h = pointwise_product(f, g)

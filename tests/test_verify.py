@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -25,7 +26,7 @@ from lpfactor import (
 
 
 def single_atom_instance():
-    space = MeasureSpace.from_measures([1.0])
+    space = MeasureSpace([1.0])
     return LpInstance(
         f=SimpleFunction(space, (2.0,)),
         g=SimpleFunction(space, (3.0,)),
@@ -37,7 +38,7 @@ def single_atom_instance():
 
 class TestVerifier:
     def test_identity_certificate_passes_with_zero_distances(self):
-        space = MeasureSpace.from_measures([1, 2, 3])
+        space = MeasureSpace([1, 2, 3])
         f = SimpleFunction(space, (1, -1, 2))
         g = SimpleFunction(space, (0, 2, 2))
         h = SimpleFunction(space, tuple(a * b for a, b in zip(f.coefficients, g.coefficients)))
@@ -79,7 +80,7 @@ class TestVerifier:
 
     def test_strictness_honored_on_the_boundary(self):
         # v - g is exactly 0.1 here, landing on the radius
-        space = MeasureSpace.from_measures([1.0])
+        space = MeasureSpace([1.0])
         instance = LpInstance(
             f=SimpleFunction(space, (1.0,)),
             g=SimpleFunction(space, (0.0,)),
@@ -122,7 +123,7 @@ class TestVerifier:
 
     @pytest.mark.parametrize("v", [(1.0, math.nan), (math.nan, 1.0), (math.nan, 1.5)])
     def test_nan_coefficient_fails_lp(self, v):
-        space = MeasureSpace.from_measures([1.0, 1.0])
+        space = MeasureSpace([1.0, 1.0])
         ones = SimpleFunction(space, (1.0, 1.0))
         instance = LpInstance(f=ones, g=ones, h=ones, p=Exponent(2), eps=1.0)
         cert = FactorizationCertificate(u=(1.0, 1.0), v=v, radius_u=1.0, radius_v=1.0)
@@ -132,7 +133,7 @@ class TestVerifier:
         assert report.norm_v_dist == math.inf and report.norm_u_dist == 0.0
 
     def test_overflowing_difference_is_an_infinite_distance(self):
-        space = MeasureSpace.from_measures([1.0, 1.0])
+        space = MeasureSpace([1.0, 1.0])
         instance = LpInstance(
             f=SimpleFunction(space, (1.0, -1e308)),
             g=SimpleFunction(space, (1.0, -1.0)),
@@ -149,7 +150,7 @@ class TestVerifier:
 
     def test_measures_beyond_the_doubles_keep_finite_distances(self):
         # The measures sum past the doubles; the distances, 0.18, do not.
-        space = MeasureSpace.from_measures([1.7e308, 1.7e308])
+        space = MeasureSpace([1.7e308, 1.7e308])
         zero = SimpleFunction(space, (0.0, 0.0))
         instance = LpInstance(
             f=zero, g=zero, h=SimpleFunction(space, (1e-310, 1e-310)),
@@ -212,14 +213,6 @@ class TestJsonInterchange:
         assert math.isinf(rebuilt.space.measures[-1])
         assert rebuilt.p == inst.p
 
-    def test_standalone_simple_function_shape(self):
-        space = MeasureSpace(("left", "right"), (2.0, math.inf))
-        f = SimpleFunction(space, (0.1 + 0.2, 0.0))
-        payload = lpfactor.simple_function_to_json(f)
-        assert payload["space"]["atoms"][1]["measure"] == "inf"
-        back = lpfactor.simple_function_from_json(json.loads(json.dumps(payload)))
-        assert back == f
-
     def test_certificate_round_trip(self):
         cert = FactorizationCertificate(
             u=(1 / 3, 2.0), v=(3.0, -1e-17), radius_u=0.5, radius_v=0.5,
@@ -231,9 +224,12 @@ class TestJsonInterchange:
         assert back == cert
 
     def test_stale_keys_are_ignored(self):
-        # older files carry a certificate product_tolerance and a space "units"
+        # older files carry a certificate product_tolerance, a space "units"
+        # and an "id" per atom
         payload = single_atom_instance().to_json()
+        assert payload["space"] == {"atoms": [{"measure": 1.0}]}
         payload["space"]["units"] = "cm"
+        payload["space"]["atoms"][0]["id"] = "a0"
         assert lpfactor.instance_from_json(payload) == single_atom_instance()
         cert = FactorizationCertificate(u=(2.0,), v=(3.1,), radius_u=1.0, radius_v=1.0)
         stale = dict(cert.to_json(), product_tolerance=0.5)
@@ -410,8 +406,8 @@ def _split_at_infinite_p():
 
 
 def _instance_on_two_spaces():
-    f = SimpleFunction(MeasureSpace.from_measures([1.0]), (1.0,))
-    g = SimpleFunction(MeasureSpace.from_measures([2.0]), (1.0,))
+    f = SimpleFunction(MeasureSpace([1.0]), (1.0,))
+    g = SimpleFunction(MeasureSpace([2.0]), (1.0,))
     return LpInstance(f, g, f, Exponent(2), 1.0)
 
 
@@ -442,10 +438,8 @@ def _spec(**changes):
         (lambda: _spec(kind="lp"), "need an exponent p"),
         (_instance_on_two_spaces, "share one measure space"),
         (lambda: lpfactor.instance_from_json({"kind": "matrix"}), "unknown instance kind"),
-        (lambda: MeasureSpace(("a", "b"), (1.0,)), "atom and measure counts differ"),
-        (lambda: MeasureSpace(("a", "a"), (1.0, 1.0)), "must be unique"),
         (
-            lambda: SimpleFunction(MeasureSpace.from_measures([1.0]), (1.0, 2.0)),
+            lambda: SimpleFunction(MeasureSpace([1.0]), (1.0, 2.0)),
             "2 coefficients for 1 atoms",
         ),
         (
@@ -462,6 +456,24 @@ def _spec(**changes):
         (
             lambda: verify_certificate(object(), _one_atom_certificate()),
             "unknown instance type",
+        ),
+        (
+            lambda: replace(single_atom_instance(), eps=math.nan),
+            "eps must be positive and finite",
+        ),
+        (
+            lambda: SeqInstance(x=(1.0,), y=(1.0,), z=(1.0,), eps=math.inf),
+            "eps must be positive and finite",
+        ),
+        (
+            lambda: lpfactor.instance_from_json(
+                {"kind": "seq", "x": [1], "y": [1], "z": [1], "eps": math.nan}
+            ),
+            "eps must be positive and finite",
+        ),
+        (
+            lambda: SeqInstance(x=(1.0, math.nan), y=(1.0,), z=(1.0,), eps=1.0),
+            "coefficients must be finite reals",
         ),
     ],
 )
