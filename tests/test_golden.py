@@ -58,6 +58,7 @@ GOLDEN = {
     "factor_countable/p=inf": "c0d7e71be3a0ebea72d870f82d5b49abbe3990f6775ac2d172b758d8ba22b957",
     "factor_seq/finite": "c6ecc942328156eeb462cf72ed6dd3e44c5d4464212efb2df99fb150ea49efa8",
     "factor_seq/tail": "6c894679df68b58d840bba380098de09cbfad14eced6f55c25c0dab735268c3d",
+    "factor_general/n=5000": "6f5e0fa45b4e7e4e775f64fb6bbd8a6f6721d59f6e901424b7690840b138a70c",
 }
 
 
@@ -106,6 +107,22 @@ EDGES = (
     ),
     ([2.0, 0.5], [1e154, 1e-154], [1e-154, 1e154], [1.0 + 1e-20, 1.0], 2.0),
 )
+
+
+def _large_instances():
+    """One 5000-atom instance per p, two of its atoms of INFINITE measure."""
+    for k, p in enumerate(PS):
+        yield gen_instance(
+            InstanceSpec(
+                kind="lp",
+                n=5000,
+                eps=EPSILONS[k % 3],
+                defect_fraction=(0.1, 0.6, 0.97)[k % 3],
+                seed=5000 + k,
+                p=p,
+                infinite_atoms=2,
+            )
+        )
 
 
 def _edge_instances(p):
@@ -158,6 +175,11 @@ def digest(key: str) -> str:
         for inst in _seq_instances():
             sha.update(
                 _line(lambda: factor_seq(inst.x, inst.y, inst.z, inst.eps, strategy))
+            )
+    elif arg == "n=5000":
+        for inst in _large_instances():
+            sha.update(
+                _line(lambda: factor_general(inst.f, inst.g, inst.h, inst.p, inst.eps))
             )
     else:
         solve = LP_SOLVERS[solver]
