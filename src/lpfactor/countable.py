@@ -18,8 +18,9 @@ Every L_p solver enters through one checked edge, ``_lp_inputs``: a
 positive finite eps, f, g and h on one space, and membership (f in L_p, g
 in L_q, h in L_1) through the cheap sufficient bound of ``norm_is_finite``.
 The ``SimpleFunction`` constructors have already checked coefficients and
-measures.  ``factor_countable`` answers p = oo by the certificate's one
-swap.  ``_tuple_split`` computes E, eta and the radii once, which
+measures.  ``_solve_checked`` runs that check once and answers p = oo by
+the certificate's one swap around a finite-p body on the checked tuples.
+``_tuple_split`` computes E, eta and the radii once, which
 ``agreement_split`` wraps and ``factor_countable`` hands to
 ``scalar._split_atoms`` for the per-atom work on bare floats.  An atom
 whose float radii starve the kernel gets the checked fallback, against
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import and_, mul, not_, sub, truediv, truth
+from operator import mul, not_, truediv
 from typing import Union
 
 from .certificates import FactorizationCertificate
@@ -86,6 +87,19 @@ def _lp_inputs(f: SimpleFunction, g: SimpleFunction, h: SimpleFunction, p, eps):
     return fs, gs, hs, f.space.measures, p
 
 
+def _solve_checked(body, f, g, h, p, eps) -> FactorizationCertificate:
+    """Check the inputs once at the edge, then run a finite-p solver body.
+
+    ``body(fs, gs, hs, space, p, eps)`` works on the checked coefficient
+    tuples.  p = oo is answered by the one swap: the body solves (g, f, h)
+    at p = 1 and the certificate is transposed.
+    """
+    fs, gs, hs, _, p = _lp_inputs(f, g, h, p, eps)
+    if p.is_infinite:
+        return body(gs, fs, hs, f.space, _L1, eps).transposed()
+    return body(fs, gs, hs, f.space, p, eps)
+
+
 def split_defects(fs, gs, hs, measures, eps: float, context: str):
     """The per-atom defects, the mask of atoms outside E, and eta.
 
@@ -93,8 +107,8 @@ def split_defects(fs, gs, hs, measures, eps: float, context: str):
     a nonzero measure; eta = ||h - fg||_1 is ``l1_defect`` over those atoms.
     Raises FeasibilityError, naming ``context``, unless eta < eps^2/4.
     """
-    defects = list(map(abs, map(sub, hs, map(mul, fs, gs))))
-    outside = list(map(and_, map(truth, defects), map(truth, measures)))
+    defects = [abs(z - x * y) for x, y, z in zip(fs, gs, hs)]
+    outside = [d != 0.0 and mu != 0.0 for d, mu in zip(defects, measures)]
     eta = l1_defect(defects, measures, outside)
     bound = (eps / 2.0) * (eps / 2.0)  # eps * eps overflows before the bound
     if not eta < bound:
@@ -213,9 +227,12 @@ def factor_countable(
     is answered by swapping the two factors, solving at p = 1, and swapping
     back; the closed bound then sits on the u side.
     """
-    fs, gs, hs, measures, p = _lp_inputs(f, g, h, p, eps)
-    if p.is_infinite:
-        return factor_countable(g, f, h, _L1, eps).transposed()
+    return _solve_checked(_countable, f, g, h, p, eps)
+
+
+def _countable(fs, gs, hs, space, p: Exponent, eps: float):
+    """``factor_countable`` at finite p on checked tuples."""
+    measures = space.measures
     _, outside, _, scale, radii = _tuple_split(fs, gs, hs, measures, p, eps)
     u, v = copy_pairs(fs, gs, hs, outside)
 

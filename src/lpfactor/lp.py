@@ -23,28 +23,34 @@ Validation happens at the public edges: the ``SimpleFunction`` and
 ``MeasureSpace`` constructors check finiteness and measures, both pipelines
 enter through ``countable``'s one checked edge (a positive finite eps, one
 space, and membership: f in L_p, g in L_q, h in L_1), and p = oo is answered
-by the certificate's one swap.  Both pipelines hand ``_bounded`` plain
+by the certificate's one swap around a finite-p body on the checked tuples,
+so membership is checked once.  Both pipelines hand ``_bounded`` plain
 tuples: coefficients, measures, the flagged atoms and the defect already
 computed.  ``_bounded`` quantizes with ``quantize_grid`` and
 ``quantize_geometric`` (coefficient tuples in, coefficient tuples out) and
 solves the quantized problem with the public ``factor_countable``, which
 checks membership of the quantized functions.
+
+The per-atom passes are single loops or comprehensions, not chains of
+``map`` over builtins such as ``max``.  The quantizers test each element
+once against the level their estimate gives and walk to the right level
+only when that test fails; the envelope that steers the truncation is
+built in one loop over the atoms outside E.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import and_, mul, not_, truth
+from itertools import compress
+from operator import and_, not_, truth
 from typing import Optional, Sequence, Union
 
 from .certificates import FactorizationCertificate
-from .countable import _lp_inputs, copy_pair, copy_pairs
+from .countable import _solve_checked, copy_pair, copy_pairs
 from .countable import factor_countable, split_defects
 from .errors import FeasibilityError
 from .measure import (
-    _L1,
     INFINITE,
     Exponent,
     MeasureSpace,
@@ -185,28 +191,28 @@ def quantize_grid(coeffs: Sequence[float], delta: float) -> tuple:
     Pointwise, |f - f'| <= delta and |f'| <= |f|; grid points are fixed.
     Where the grid is finer than double precision resolves (more than 2^53
     steps to reach the value), the coefficient is already the correctly
-    rounded grid value and is kept as is.
+    rounded grid value and is kept as is.  delta must be positive and finite.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < INFINITE:  # NaN too
+        raise ValueError("delta must be positive and finite")
+    floor = math.floor
     out = []
     push = out.append
-    copysign = math.copysign
     for c in coeffs:
         t = abs(c)
-        if t == 0.0:
-            push(0.0)
-            continue
         steps = t / delta
         if steps >= _GRID_LIMIT:
             push(c)
             continue
-        k = int(steps)
-        while (k + 1) * delta <= t:
-            k += 1
-        while k > 0 and k * delta > t:
-            k -= 1
-        push(copysign(k * delta, c))
+        k = floor(steps)
+        val = k * delta
+        if val > t or (k + 1) * delta <= t:  # the rounded quotient missed
+            while (k + 1) * delta <= t:
+                k += 1
+            while k > 0 and k * delta > t:
+                k -= 1
+            val = k * delta
+        push(-val if c < 0.0 else val)  # -0.0 maps to 0.0
     return tuple(out)
 
 
@@ -233,9 +239,10 @@ def quantize_geometric(
         raise ValueError(f"|h| exceeds the declared bound m: {c!r} > {m!r}")
     if d_f >= 1.0:
         return coeffs
-    log, ceil, copysign = math.log, math.ceil, math.copysign
+    log, ceil = math.log, math.ceil
     log_d = log(d_f)
     log_m = log(m)
+    deepest = _GRID_LIMIT / 2.0
     out = []
     push = out.append
     for c in coeffs:
@@ -245,17 +252,18 @@ def quantize_geometric(
             continue
         # logs taken separately: t/m may underflow even though both are fine
         s = (log(t) - log_m) / log_d
-        if s >= _GRID_LIMIT / 2.0:
+        if s >= deepest:
             # Grid levels this deep differ by less than a double can hold.
             push(c)
             continue
-        j = max(1, ceil(s))
-        dj = d_f**j
-        if m * dj > t or (j > 1 and m * d_f ** (j - 1) <= t):
+        j = ceil(s)  # s >= 0, since t <= m
+        if j < 1:
+            j = 1
+        val = m * d_f**j
+        if val > t or (j > 1 and m * d_f ** (j - 1) <= t):
             # The estimate missed the least level k with m d^k <= t.
             j = _grid_level(t, m, d_f, j)
-            dj = d_f**j
-        val = m * dj
+            val = m * d_f**j
         if val <= 0.0:
             # d^j underflowed on its own even though the level itself is
             # representable; recover it in log space, or keep t when the
@@ -266,7 +274,7 @@ def quantize_geometric(
                 val = 0.0
             if val <= 0.0:
                 val = t
-        push(copysign(val, c))
+        push(-val if c < 0.0 else val)
     return tuple(out)
 
 
@@ -353,10 +361,8 @@ def _bounded(fs, gs, hs, measures, core, defect, p, eps, u, v):
     mu_total = fsum_or_inf(mus)
     if math.isinf(mu_total):
         raise ValueError("bounded stage requires finite measure where h != fg")
-    m = (
-        max(mu_total, max(map(abs, f_c)), max(map(abs, g_c)), max(map(abs, h_c)))
-        + 1.0
-    )
+    # max(max(x), -min(x)) is max |x|, without a pass of abs
+    m = max(mu_total, *(max(max(xs), -min(xs)) for xs in (f_c, g_c, h_c))) + 1.0
     params = select_params(defect, m, p, eps)
     f_q = quantize_grid(f_c, params.delta)
     g_q = quantize_grid(g_c, params.delta)
@@ -370,12 +376,10 @@ def _bounded(fs, gs, hs, measures, core, defect, p, eps, u, v):
         params.eps_bar,
     )
     # alpha = h/h' in [1, 1/d] repairs the geometric quantization of h.
-    repaired = [
-        (target / snapped if snapped != 0.0 else 1.0) * w
-        for target, snapped, w in zip(h_c, h_q, inner.u)
-    ]
-    for i, a, b in zip(compress(range(len(u)), core), repaired, inner.v):
-        u[i] = a
+    for i, target, snapped, a, b in zip(
+        compress(range(len(u)), core), h_c, h_q, inner.u, inner.v
+    ):
+        u[i] = (target / snapped if snapped != 0.0 else 1.0) * a
         v[i] = b
     return params
 
@@ -394,9 +398,12 @@ def factor_bounded(
     are routed around the pipeline untouched, so an exact instance returns
     (f, g) verbatim.  Both returned bounds are strict.
     """
-    fs, gs, hs, measures, p = _lp_inputs(f, g, h, p, eps)
-    if p.is_infinite:
-        return factor_bounded(g, f, h, _L1, eps).transposed()
+    return _solve_checked(_bounded_body, f, g, h, p, eps)
+
+
+def _bounded_body(fs, gs, hs, space, p, eps):
+    """``factor_bounded`` at finite p on checked tuples."""
+    measures = space.measures
     _, outside, defect = split_defects(
         fs, gs, hs, measures, eps, "bounded factorization"
     )
@@ -424,9 +431,12 @@ def factor_general(
     v = |h|^(1/q) sgn h, and for p = 1 by a gamma-grid divisor under g with
     u = h/v.  Both returned bounds are strict.
     """
-    fs, gs, hs, measures, p = _lp_inputs(f, g, h, p, eps)
-    if p.is_infinite:
-        return factor_general(g, f, h, _L1, eps).transposed()
+    return _solve_checked(_general, f, g, h, p, eps)
+
+
+def _general(fs, gs, hs, space, p, eps):
+    """``factor_general`` at finite p on checked tuples."""
+    measures = space.measures
     defects, outside, defect = split_defects(
         fs, gs, hs, measures, eps, "general factorization"
     )
@@ -457,26 +467,25 @@ def factor_general(
     # E, which truncate_support ignores: null atoms are invisible to every
     # integral (and their powers may overflow), so they land off the core,
     # where the extensions handle them measure-free.
-    mag_f = list(map(mul, map(abs, fs), outside))
-    mag_h = list(map(mul, map(abs, hs), outside))
     # Saturation: a power or the tail budget leaves the double range.
+    envelope = [0.0] * len(fs)
+    saturated = False
     if q.is_infinite:  # p = 1: control |f| and |h| on the core
-        envelope = list(map(max, mag_f, mag_h))
+        for i in compress(range(len(fs)), outside):
+            a, c = abs(fs[i]), abs(hs[i])
+            envelope[i] = a if a >= c else c
         tail_budget = min(gamma, gamma * gamma)
-        saturated = False
     else:
-        mag_g = list(map(mul, map(abs, gs), outside))
         try:
-            pow_f = list(map(pow, mag_f, repeat(p_f)))
-            pow_g = list(map(pow, mag_g, repeat(q_f)))
+            for i in compress(range(len(fs)), outside):
+                x, y = fs[i], gs[i]
+                a, b, c = abs(x) ** p_f, abs(y) ** q_f, abs(hs[i])
+                if not (a and b) and (x and not a or y and not b):
+                    saturated = True  # a power underflowed to 0
+                top = a if a >= b else b
+                envelope[i] = top if top >= c else c
         except OverflowError:
             saturated = True
-        else:  # a power that underflowed to 0 adds a zero
-            saturated = (
-                pow_f.count(0.0) != mag_f.count(0.0)
-                or pow_g.count(0.0) != mag_g.count(0.0)
-            )
-            envelope = list(map(max, pow_f, pow_g, mag_h))
         budgets = (pow_or_inf(gamma, p_f), pow_or_inf(gamma, q_f))
         saturated = saturated or 0.0 in budgets or INFINITE in budgets
         tail_budget = min(budgets)
@@ -486,7 +495,7 @@ def factor_general(
     core = outside
     if not (saturated or tail_budget < 1e-290):
         try:
-            trunc = truncate_support(SimpleFunction(f.space, envelope), tail_budget)
+            trunc = truncate_support(SimpleFunction(space, envelope), tail_budget)
         except ValueError:  # the envelope's integral overflows
             pass
         else:

@@ -62,7 +62,6 @@ def pow_or_inf(base: float, expo: float) -> float:
 
 
 _NONNEGATIVE = (0.0).__le__  # False for NaN as well as for negatives
-_POSITIVE = (0.0).__lt__
 
 
 def check_eps(eps: float) -> None:
@@ -89,6 +88,10 @@ class MeasureSpace:
     def __post_init__(self):
         measures = tuple(map(float, self.measures))
         object.__setattr__(self, "measures", measures)
+        # min ignores a NaN that is not first, but a NaN makes the sum NaN.
+        total = sum(measures)
+        if min(measures, default=0.0) >= 0.0 and total == total:
+            return
         if not all(map(_NONNEGATIVE, measures)):
             bad = next(m for m in measures if not m >= 0)
             raise ValueError(f"atom measure must be >= 0 or INFINITE, got {bad!r}")
@@ -202,7 +205,9 @@ class SimpleFunction:
             raise ValueError(
                 f"{len(coeffs)} coefficients for {len(self.space)} atoms"
             )
-        if not all(map(math.isfinite, coeffs)):
+        # A finite sum has finite terms; a sum of finite terms can still
+        # overflow, so the scan decides when the sum is not finite.
+        if not math.isfinite(sum(coeffs)) and not all(map(math.isfinite, coeffs)):
             bad = next(c for c in coeffs if not math.isfinite(c))
             raise ValueError(f"coefficients must be finite reals, got {bad!r}")
 
@@ -249,13 +254,18 @@ def norm(f: SimpleFunction, p: Union[Exponent, float, int, Fraction]) -> float:
 
 def _norm(coeffs: Sequence[float], measures: Sequence[float], p: Exponent) -> float:
     """``norm`` on a coefficient tuple and the measures of its space."""
+    # Measures are >= 0 and never NaN, so a measure is positive exactly when
+    # it is truthy: the measures select the live atoms themselves.
     if p.is_infinite:
-        return max(compress(map(abs, coeffs), map(_POSITIVE, measures)), default=0.0)
-    live = list(map(_POSITIVE, measures))
-    for i in _positions(measures, INFINITE):
-        if coeffs[i] != 0.0:
-            return INFINITE
-        live[i] = False  # 0 * INFINITE = 0: the atom drops out
+        return max(compress(map(abs, coeffs), measures), default=0.0)
+    live = measures
+    infinite = _positions(measures, INFINITE)
+    if infinite:
+        live = list(measures)
+        for i in infinite:
+            if coeffs[i] != 0.0:
+                return INFINITE
+            live[i] = False  # 0 * INFINITE = 0: the atom drops out
     mags = list(compress(map(abs, coeffs), live))
     live_measures = compress(measures, live)
     pf = float(p)
@@ -289,16 +299,18 @@ def norm_is_finite(
 ) -> bool:
     """Whether the L_p norm of coefficients on these measures is finite.
 
-    ``||f||_p^p <= max|a_n|^p * mu(supp f)``: when that bound sits well
-    inside binary64 the norm is finite, which takes three C-level passes.
-    Only when the bound fails (an INFINITE atom in the support, or
-    magnitudes near the double range) is the norm itself computed, so the
-    verdict is always exactly ``not isinf(norm(f, p))``.
+    ``||f||_p^p <= max|a_n|^p * mu(supp f) <= |a|_2^p * mu(supp f)``, with
+    |a|_2 the Euclidean length of the coefficient vector: when that bound
+    sits well inside binary64 the norm is finite, which takes two C-level
+    reductions, ``math.hypot`` and ``sum``.  Only when the bound fails (an
+    INFINITE atom in the support, or magnitudes near the double range) is
+    the norm itself computed, so the verdict is always exactly
+    ``not isinf(norm(f, p))``.
     """
     if p.is_infinite:
         return True  # the largest of finitely many finite coefficients
-    top = max(map(abs, coeffs), default=0.0)
-    support = fsum_or_inf(compress(measures, coeffs))
+    top = math.hypot(*coeffs)  # at least max |a_n|, and never overflows early
+    support = sum(compress(measures, coeffs))
     if pow_or_inf(top, float(p)) * support < _SAFE_BOUND:
         return True
     return not math.isinf(_norm(coeffs, measures, p))
@@ -325,18 +337,28 @@ class TruncationResult:
     level: int
 
 
+_EXACT_CEIL = 2.0**52  # each integer up to this bound is a double
+
+
 def _entry_level(t: float) -> int:
     """The smallest integer k >= 1 with 1/k <= t <= k, for t > 0.
 
-    Exact: ceil on a float is exact, and for t < 1 the reciprocal is the
-    ceiling of an integer quotient, so the answer never suffers from
-    rounding and never needs a correction walk (whose step count would be
-    unbounded at extreme magnitudes).
+    Exact: ceil on a float is exact, and for t < 1 the answer is the
+    ceiling of 1/t, so it never suffers from rounding and never needs a
+    correction walk (whose step count would be unbounded at extreme
+    magnitudes).  Division rounds monotonically and the integers below 2^52
+    are doubles, so a rounded 1/t that is not an integer has the ceiling of
+    the exact one; otherwise the ceiling of an integer quotient decides.
     """
     if t >= 1.0:
         # 1/k <= 1 <= t holds for every k; only t <= k binds.
         return math.ceil(t)
     # t <= k holds for every k >= 1; only 1/k <= t, i.e. k >= 1/t, binds.
+    r = 1.0 / t
+    if r < _EXACT_CEIL:
+        k = math.ceil(r)
+        if k != r:
+            return k
     num, den = t.as_integer_ratio()
     return -(-den // num)
 
@@ -358,7 +380,8 @@ def truncate_support(f: SimpleFunction, eps: float) -> TruncationResult:
     support = list(compress(range(len(coeffs)), coeffs))
     mags = list(map(abs, compress(coeffs, coeffs)))
     shares = list(map(mul, mags, compress(f.space.measures, coeffs)))
-    entry = list(map(_entry_level, mags))
+    ceil = math.ceil  # _entry_level's answer for t >= 1, without the call
+    entry = [ceil(t) if t >= 1.0 else _entry_level(t) for t in mags]
     order = sorted(range(len(entry)), key=entry.__getitem__)
     levels = list(map(entry.__getitem__, order))
 
@@ -385,10 +408,10 @@ def truncate_support(f: SimpleFunction, eps: float) -> TruncationResult:
         else:
             # Unreachable: the tail after the last entry level is 0 < eps.
             raise AssertionError("no truncation level found")
-    kept = sorted(map(support.__getitem__, order[:kept_upto]))
+    kept = order[:kept_upto]
     return TruncationResult(
-        kept_indices=tuple(kept),
+        kept_indices=tuple(sorted(map(support.__getitem__, kept))),
         tail_value=suffix[kept_upto],
-        sup_on_A=max(map(abs, map(coeffs.__getitem__, kept)), default=0.0),
+        sup_on_A=max(map(mags.__getitem__, kept), default=0.0),
         level=chosen,
     )

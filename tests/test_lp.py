@@ -31,6 +31,7 @@ from lpfactor import (
     snap_to_gamma_grid,
     verify_certificate,
 )
+from lpfactor.lp import _grid_level
 
 
 def build(measures, f, g, h):
@@ -338,6 +339,128 @@ class TestQuantizeGeometric:
         assert result.stdout.strip() in ("pass", "refused")
 
 
+def reference_quantize_grid(coeffs, delta):
+    """The grid quantizer as first written: both correction walks always run."""
+    out = []
+    for c in coeffs:
+        t = abs(c)
+        if t == 0.0:
+            out.append(0.0)
+            continue
+        steps = t / delta
+        if steps >= 2.0**53:
+            out.append(c)
+            continue
+        k = int(steps)
+        while (k + 1) * delta <= t:
+            k += 1
+        while k > 0 and k * delta > t:
+            k -= 1
+        out.append(math.copysign(k * delta, c))
+    return tuple(out)
+
+
+def reference_quantize_geometric(coeffs, d, m):
+    """The geometric quantizer as first written, for |h| <= m and 0 < d < 1."""
+    d_f = float(d)
+    if d_f >= 1.0:
+        return coeffs
+    log_d, log_m = math.log(d_f), math.log(m)
+    out = []
+    for c in coeffs:
+        t = abs(c)
+        if t == 0.0:
+            out.append(0.0)
+            continue
+        s = (math.log(t) - log_m) / log_d
+        if s >= 2.0**52:
+            out.append(c)
+            continue
+        j = max(1, math.ceil(s))
+        dj = d_f**j
+        if m * dj > t or (j > 1 and m * d_f ** (j - 1) <= t):
+            j = _grid_level(t, m, d_f, j)
+            dj = d_f**j
+        val = m * dj
+        if val <= 0.0:
+            try:
+                val = math.exp(math.log(m) + j * log_d)
+            except OverflowError:
+                val = 0.0
+            if val <= 0.0:
+                val = t
+        out.append(math.copysign(val, c))
+    return tuple(out)
+
+
+def _ulp_neighbours(values):
+    return [w for v in values for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+
+
+_coefficients = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+    max_size=20,
+)
+
+
+class TestQuantizersMatchTheirFirstForm:
+    """Output, signed zeros included, is repr-identical to the first form."""
+
+    @given(coeffs=_coefficients, delta=st.floats(min_value=5e-324, max_value=1e300))
+    @settings(max_examples=300)
+    def test_grid_random(self, coeffs, delta):
+        coeffs = tuple(coeffs)
+        assert repr(quantize_grid(coeffs, delta)) == repr(
+            reference_quantize_grid(coeffs, delta)
+        )
+
+    @pytest.mark.parametrize("delta", [0.1, 1.6048148406563937e-09, 3.0, 5e-324])
+    def test_grid_edges(self, delta):
+        points = [k * delta for k in (1, 2, 3, 7, 10, 339109565167361)]
+        coeffs = (
+            -0.0, 0.0, -1e-300, 1e-300, -5e-324, 544208.0627891173,
+            *_ulp_neighbours(points), *_ulp_neighbours([-x for x in points]),
+            2.0**53 * delta, -(2.0**60) * delta, 1e308, -1e308,
+        )
+        got = quantize_grid(coeffs, delta)
+        assert repr(got) == repr(reference_quantize_grid(coeffs, delta))
+        if delta > 1e-280:  # a tiny negative lies in the first step
+            assert repr(got[:3]) == "(0.0, 0.0, -0.0)"
+
+    @given(
+        coeffs=st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=20),
+        d=st.floats(min_value=1e-3, max_value=math.nextafter(1.0, 0.0)),
+        m=st.floats(min_value=1.0, max_value=1e300),
+    )
+    @settings(max_examples=300)
+    def test_geometric_random(self, coeffs, d, m):
+        coeffs = tuple(c * m for c in coeffs)
+        assert repr(quantize_geometric(coeffs, d, m)) == repr(
+            reference_quantize_geometric(coeffs, d, m)
+        )
+
+    @pytest.mark.parametrize(
+        "d, m",
+        [(0.5, 1.0), (0.9, 10.0), (0.9999999999928164, 4565630326465358.0),
+         (0.9999999998571947, 3.38e163), (1 - 1e-12, 22728.99)],
+    )
+    def test_geometric_edges(self, d, m):
+        levels = [m * d**j for j in (0, 1, 2, 5, 1000)]
+        coeffs = (
+            -0.0, 0.0, -5e-324, 1e-320, 2.2e-308, -2.2e-308, m, -m,
+            *[x for x in _ulp_neighbours(levels) if x <= m],
+        )
+        got = quantize_geometric(coeffs, d, m)
+        assert repr(got) == repr(reference_quantize_geometric(coeffs, d, m))
+        assert repr(got[:2]) == "(0.0, 0.0)"
+
+    def test_geometric_ratio_within_an_ulp_of_one_is_the_input(self):
+        h = (0.5, -0.0, -3.0)
+        d = Fraction(2**60 - 1, 2**60)  # rounds to 1.0
+        assert quantize_geometric(h, d, 4.0) is h
+        assert reference_quantize_geometric(h, d, 4.0) is h
+
+
 class TestGammaGrid:
     def test_rounds_up_to_next_level(self):
         assert snap_to_gamma_grid(0.25, 0.1, 1.0) == pytest.approx(0.3)
@@ -598,6 +721,8 @@ class TestFactorGeneral:
         (lambda: select_params(0.0, -1.0, 2, 1.0), "m must be positive"),
         (lambda: quantize_grid((1.0,), 0.0), "delta must be positive"),
         (lambda: quantize_grid((1.0,), -1.0), "delta must be positive"),
+        (lambda: quantize_grid((0.0,), math.inf), "delta must be positive and finite"),
+        (lambda: quantize_grid((0.0,), math.nan), "delta must be positive and finite"),
         (lambda: quantize_geometric((0.5,), 1, 1.0), "d must lie strictly"),
         (lambda: quantize_geometric((0.5,), 0.0, 1.0), "d must lie strictly"),
         (lambda: quantize_geometric((0.5,), 0.5, 0.0), "m must be positive"),
@@ -667,3 +792,22 @@ def test_p_infinity_is_the_transposed_p_one_solve(solve):
         assert (cert.radius_u, cert.radius_v) == (ref.radius_v, ref.radius_u)
         assert (cert.strict_u, cert.strict_v) == (ref.strict_v, ref.strict_u)
         assert cert.params == ref.params
+
+
+@pytest.mark.parametrize("solve", [factor_general, factor_bounded, factor_countable])
+def test_p_infinity_checks_membership_once(solve, monkeypatch):
+    # The edge checks (f, g, h) at p = oo; the swapped p = 1 solve does not
+    # check the same three norms again.
+    from lpfactor import countable
+
+    seen = []
+    check = countable.check_memberships
+    monkeypatch.setattr(
+        countable, "check_memberships", lambda *args: seen.append(args) or check(*args)
+    )
+    spec = InstanceSpec(kind="lp", n=30, eps=1.0, defect_fraction=0.8, seed=4, p="inf")
+    inst = gen_instance(spec)
+    solve(inst.f, inst.g, inst.h, INFINITE, inst.eps)
+    mine = [args for args in seen if args[2] is inst.h.coefficients]
+    assert len(mine) == 1
+    assert mine[0][0] is inst.f.coefficients and mine[0][4].is_infinite

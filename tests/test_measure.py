@@ -56,6 +56,46 @@ class TestValidation:
         space = MeasureSpace([0.0, -0.0, INFINITE])
         assert space.measures == (0.0, 0.0, INFINITE)
 
+    # The constructors decide with a sum and a min first and scan only when
+    # that test fails, so a sum that overflows or goes NaN must neither
+    # reject a valid entry nor let an invalid one through.
+    def test_finite_coefficients_whose_sum_overflows_are_valid(self):
+        space = MeasureSpace([1.0, 1.0])
+        for coeffs in ((1.7e308, 1.7e308), (-1.7e308, -1.7e308)):
+            assert SimpleFunction(space, coeffs).coefficients == coeffs
+
+    @pytest.mark.parametrize(
+        "coeffs, bad",
+        [
+            ((1.7e308, 1.7e308, math.nan), math.nan),
+            ((math.inf, -math.inf), math.inf),
+            ((1.0, -math.inf, math.inf), -math.inf),
+            ((-1.7e308, -1.7e308, math.inf), math.inf),
+        ],
+    )
+    def test_nonfinite_coefficient_behind_a_nonfinite_sum_is_named(self, coeffs, bad):
+        space = MeasureSpace([1.0] * len(coeffs))
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
+            SimpleFunction(space, coeffs)
+
+    def test_measures_whose_sum_overflows_are_valid(self):
+        space = MeasureSpace([1.7e308, 1.7e308, -0.0, INFINITE])
+        assert space.measures == (1.7e308, 1.7e308, 0.0, INFINITE)
+
+    @pytest.mark.parametrize(
+        "measures, bad",
+        [
+            ([math.nan, -1.0], math.nan),
+            ([1.0, math.nan], math.nan),
+            ([INFINITE, math.nan, 2.0], math.nan),
+            ([1.7e308, 1.7e308, -1.0], -1.0),
+            ([INFINITE, -math.inf], -math.inf),
+        ],
+    )
+    def test_measure_the_min_or_sum_flags_is_named(self, measures, bad):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}$"):
+            MeasureSpace(measures)
+
 
 # ---------------------------------------------------------------------------
 # norm
@@ -489,6 +529,12 @@ def test_norm_matches_loop_reference_bit_for_bit(f, p):
 
 
 @given(f=wide_function(), p=st.sampled_from([1, 1.5, 2, 3, 7, INFINITE]))
+@example(f=sf([1.0, 1.0], [1.7e308, -1.7e308]), p=1)
+@example(f=sf([1.0, 1.0], [1.7e308, -1.7e308]), p=2)
+@example(f=sf([1.0, INFINITE], [1e-300, 0.0]), p=3)
+@example(f=sf([1.0, INFINITE], [1e-300, 5e-324]), p=1.5)
+@example(f=sf([1e308, 1e308], [1.0, 1.0]), p=2)
+@example(f=sf([1e-300] * 4, [1e300, 1e300, -1e300, 1e154]), p=7)
 @settings(max_examples=500)
 def test_norm_is_finite_agrees_with_norm(f, p):
     p = Exponent(p)
