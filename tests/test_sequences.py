@@ -5,13 +5,21 @@ import random
 import pytest
 
 from lpfactor import (
+    Exponent,
     FeasibilityError,
+    InstanceSpec,
+    MeasureSpace,
     SeqInstance,
+    SimpleFunction,
+    agreement_split,
+    factor_countable,
     factor_seq,
+    gen_instance,
     seq_split,
     tail_weights,
     verify_certificate,
 )
+from test_fuzz import hostile_seq
 
 
 class TestTailWeights:
@@ -129,6 +137,16 @@ class TestExamples:
             for eps in (math.inf, math.nan):
                 with pytest.raises(ValueError, match="eps must be positive and finite"):
                     solve((1,), (1,), (1.05,), eps)
+
+    @pytest.mark.parametrize("strategy", ["finite", "tail"])
+    @pytest.mark.parametrize("eps", [5e-324, 1e-323, 1e-320])
+    def test_tiny_eps_is_infeasible_not_bad_input(self, eps, strategy):
+        # eps^2/16 rounds to 0, so nothing is feasible; at 5e-324 eps/2
+        # rounds to 0 as well, which is still a refusal, not a bad eps
+        for z in ((1.0,), (1.5,)):
+            for solve in (factor_seq, seq_split):
+                with pytest.raises(FeasibilityError):
+                    solve((1.0,), (1.0,), z, eps, strategy)
 
     @pytest.mark.parametrize("strategy", ["finite", "tail"])
     @pytest.mark.parametrize(
@@ -311,3 +329,63 @@ class TestReferenceEquality:
                 running += v
                 w.append(math.sqrt(running))
             assert exact_bits(tail_weights(a).w) == exact_bits(w[::-1])
+
+
+def counting_instance(x, y, z, eps):
+    """The FINITE instance as an L_1 x L_oo one: counting measure, radius eps/2."""
+    n = max(len(x), len(y), len(z))
+    space = MeasureSpace.counting(n)
+    pad = lambda s: SimpleFunction(space, tuple(map(float, s)) + (0.0,) * (n - len(s)))
+    return pad(x), pad(y), pad(z), Exponent(1), eps / 2.0
+
+
+def outcome_bits(solve, *args):
+    """The result of ``solve(*args)`` with floats as hex, or its refusal type."""
+    try:
+        return exact_bits(solve(*args))
+    except (FeasibilityError, ValueError) as err:
+        return type(err)
+
+
+def split_bits(split):
+    return split.agree, exact_bits(split.eta), exact_bits(split.lambdas), exact_bits(split.radii)
+
+
+def reduction_cases():
+    """Criterion-3-style draws, then hostile draws at the edges of binary64."""
+    for i in range(300):
+        knobs = random.Random(7919 + i)
+        spec = InstanceSpec(
+            kind="seq",
+            n=knobs.randint(1, 100),
+            eps=math.exp(knobs.uniform(math.log(0.25), math.log(4.0))),
+            defect_fraction=knobs.uniform(0.05, 0.99),
+            seed=104729 + i,
+        )
+        instance = gen_instance(spec)
+        yield instance.x, instance.y, instance.z, instance.eps
+    rng = random.Random(7)
+    for _ in range(3000):
+        instance = hostile_seq(rng)
+        if instance is not None:
+            yield instance.x, instance.y, instance.z, instance.eps
+
+
+class TestFiniteIsCountableAtHalfTheRadius:
+    """eps^2/16 = (eps/2)^2/4: FINITE l1 x c0 is L_1 x L_oo on counting measure."""
+
+    def test_factor_seq_matches_factor_countable(self):
+        for x, y, z, eps in reduction_cases():
+            cert = lambda c: (c.u, c.v)
+            seq = outcome_bits(lambda *a: cert(factor_seq(*a)), x, y, z, eps, "finite")
+            f, g, h, p, half = counting_instance(x, y, z, eps)
+            lp = outcome_bits(lambda *a: cert(factor_countable(*a)), f, g, h, p, half)
+            assert seq == lp, (x, y, z, eps)
+
+    def test_seq_split_matches_agreement_split(self):
+        for x, y, z, eps in reduction_cases():
+            seq = outcome_bits(lambda *a: split_bits(seq_split(*a)), x, y, z, eps, "finite")
+            lp = outcome_bits(
+                lambda *a: split_bits(agreement_split(*a)), *counting_instance(x, y, z, eps)
+            )
+            assert seq == lp, (x, y, z, eps)
