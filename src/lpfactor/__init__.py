@@ -37,7 +37,6 @@ from .measure import (
     TruncationResult,
     conjugate,
     norm,
-    pointwise_product,
     truncate_support,
 )
 from .scalar import ScalarBox, ScalarFactorPair, factor_scalar
@@ -74,7 +73,6 @@ __all__ = [
     "instance_from_json",
     "load_instance",
     "norm",
-    "pointwise_product",
     "quantize_geometric",
     "quantize_grid",
     "select_params",

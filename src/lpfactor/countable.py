@@ -12,7 +12,9 @@ per-atom radii that multiply out to more than four times its defect, and the
 scalar kernel does the rest.
 
 With counting measure (all atom measures 1) this specializes to the
-sequence spaces l_p x l_q.
+sequence spaces l_p x l_q.  At p = 1 and radius eps/2 it is the FINITE
+l1 x c0 scheme: ``sequences`` calls ``_agreement`` and ``_countable_uv``
+on its padded tuples, since eps^2/16 = (eps/2)^2/4.
 
 Every L_p solver enters through one checked edge, ``_lp_inputs``: a
 positive finite eps, f, g and h on one space, and membership (f in L_p, g
@@ -21,7 +23,7 @@ The ``SimpleFunction`` constructors have already checked coefficients and
 measures.  ``_solve_checked`` runs that check once and answers p = oo by
 the certificate's one swap around a finite-p body on the checked tuples.
 ``_tuple_split`` computes E, eta and the radii once, which
-``agreement_split`` wraps and ``factor_countable`` hands to
+``_agreement`` wraps and ``_countable_uv`` hands to
 ``scalar._split_atoms`` for the per-atom work on bare floats.  An atom
 whose float radii starve the kernel gets the checked fallback, against
 rational lower bounds of its true radii; if one lies below the smallest
@@ -42,6 +44,7 @@ from .measure import (
     _L1,
     Exponent,
     SimpleFunction,
+    _positions,
     _same_space,
     check_eps,
     conjugate,
@@ -142,7 +145,7 @@ def copy_pairs(fs, gs, hs, outside):
     """u and v as lists of f and g, with every atom in E split exactly."""
     u = list(fs)
     v = list(gs)
-    for i in compress(range(len(fs)), map(not_, outside)):
+    for i in _positions(outside, False):
         u[i], v[i] = copy_pair(fs[i], gs[i], hs[i])
     return u, v
 
@@ -199,6 +202,11 @@ def agreement_split(
     fs, gs, hs, measures, p = _lp_inputs(f, g, h, p, eps)
     if p.is_infinite:
         raise ValueError("agreement_split requires finite p; swap the factors")
+    return _agreement(fs, gs, hs, measures, p, eps)
+
+
+def _agreement(fs, gs, hs, measures, p: Exponent, eps: float) -> AgreementSplit:
+    """``agreement_split`` at finite p on checked tuples."""
     defects, outside, eta, _, radii = _tuple_split(fs, gs, hs, measures, p, eps)
     if eta > 0:  # lambda_k = |z_k - x_k y_k| mu(A_k) / eta
         shares = map(mul, compress(defects, outside), compress(measures, outside))
@@ -232,7 +240,14 @@ def factor_countable(
 
 def _countable(fs, gs, hs, space, p: Exponent, eps: float):
     """``factor_countable`` at finite p on checked tuples."""
-    measures = space.measures
+    u, v = _countable_uv(fs, gs, hs, space.measures, p, eps)
+    return FactorizationCertificate(
+        u=u, v=v, radius_u=eps, radius_v=eps, strict_u=True, strict_v=p.value != 1
+    )
+
+
+def _countable_uv(fs, gs, hs, measures, p: Exponent, eps: float):
+    """The lists u and v of ``factor_countable`` at finite p on checked tuples."""
     _, outside, _, scale, radii = _tuple_split(fs, gs, hs, measures, p, eps)
     u, v = copy_pairs(fs, gs, hs, outside)
 
@@ -244,6 +259,4 @@ def _countable(fs, gs, hs, space, p: Exponent, eps: float):
         return eps_q * _power_floor(t, p.reciprocal()), eps_q * _power_floor(t, inv_q)
 
     _split_atoms(fs, gs, hs, radii, exact_radii, "countable atom", u, v)
-    return FactorizationCertificate(
-        u=u, v=v, radius_u=eps, radius_v=eps, strict_u=True, strict_v=p.value != 1
-    )
+    return u, v

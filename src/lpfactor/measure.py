@@ -31,7 +31,6 @@ __all__ = [
     "TruncationResult",
     "conjugate",
     "norm",
-    "pointwise_product",
     "truncate_support",
 ]
 
@@ -220,13 +219,7 @@ def _same_space(f: SimpleFunction, g: SimpleFunction) -> None:
         raise ValueError("simple functions live on different measure spaces")
 
 
-def pointwise_product(f: SimpleFunction, g: SimpleFunction) -> SimpleFunction:
-    """The atomwise product fg on the shared space."""
-    _same_space(f, g)
-    return SimpleFunction(f.space, tuple(map(mul, f.coefficients, g.coefficients)))
-
-
-def _positions(values: tuple, value: float) -> list:
+def _positions(values: Sequence, value) -> list:
     """The indices at which value occurs, found by C-level scans."""
     found, i = [], -1
     for _ in range(values.count(value)):

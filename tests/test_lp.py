@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,6 @@ from lpfactor import (
     factor_general,
     gen_instance,
     norm,
-    pointwise_product,
     quantize_geometric,
     quantize_grid,
     select_params,
@@ -492,7 +492,7 @@ class TestFactorBounded:
         space = MeasureSpace([1, 2])
         f = SimpleFunction(space, (1.5, -2))
         g = SimpleFunction(space, (2, 0.5))
-        h = pointwise_product(f, g)
+        h = SimpleFunction(space, tuple(map(mul, f.coefficients, g.coefficients)))
         cert = factor_bounded(f, g, h, 2, 1.0)
         assert cert.u == f.coefficients
         assert cert.v == g.coefficients
@@ -547,8 +547,10 @@ class TestFactorBounded:
             )
             assert norm_diff(f, f_q, p) < params.eps1
             assert norm_diff(g, g_q, q) < params.eps1
-            fg = pointwise_product(f, g)
-            fq_gq = pointwise_product(f_q, g_q)
+            fg = SimpleFunction(space, tuple(map(mul, f.coefficients, g.coefficients)))
+            fq_gq = SimpleFunction(
+                space, tuple(map(mul, f_q.coefficients, g_q.coefficients))
+            )
             assert norm_diff(fg, fq_gq, 1) < params.eps1
             assert (
                 norm_diff(h_q, fq_gq, 1)

@@ -5,6 +5,7 @@ import math
 import pickle
 import re
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,6 @@ from lpfactor import (
     SimpleFunction,
     conjugate,
     norm,
-    pointwise_product,
     truncate_support,
 )
 from lpfactor.measure import _entry_level, norm_is_finite
@@ -238,31 +238,6 @@ class TestConjugate:
 
 
 # ---------------------------------------------------------------------------
-# pointwise product
-# ---------------------------------------------------------------------------
-class TestPointwiseProduct:
-    def test_componentwise(self):
-        f = sf([1, 1], [2, 3])
-        g = SimpleFunction(f.space, (1, 0))
-        assert pointwise_product(f, g).coefficients == (2.0, 0.0)
-
-    def test_identity_element(self):
-        f = sf([1, 2, 3], [0.5, -1.25, 7])
-        ones = SimpleFunction(f.space, (1, 1, 1))
-        assert pointwise_product(f, ones).coefficients == f.coefficients
-
-    def test_squaring(self):
-        f = sf([1, 1], [-1, 2])
-        assert pointwise_product(f, f).coefficients == (1.0, 4.0)
-
-    def test_mismatched_spaces_rejected(self):
-        f = sf([1, 1], [1, 1])
-        g = sf([1, 2], [1, 1])
-        with pytest.raises(ValueError):
-            pointwise_product(f, g)
-
-
-# ---------------------------------------------------------------------------
 # truncation
 # ---------------------------------------------------------------------------
 def oracle_truncation_level(coeffs, measures, eps):
@@ -429,7 +404,8 @@ def space_and_two_functions(draw, max_atoms=10):
 def test_hoelder_inequality(fg, p):
     f, g = fg
     q = conjugate(p)
-    lhs = norm(pointwise_product(f, g), 1)
+    fg = SimpleFunction(f.space, tuple(map(mul, f.coefficients, g.coefficients)))
+    lhs = norm(fg, 1)
     rhs = norm(f, p) * norm(g, q)
     assert lhs <= rhs * (1 + 1e-9) + 1e-12
 

@@ -339,16 +339,20 @@ def counting_instance(x, y, z, eps):
     return pad(x), pad(y), pad(z), Exponent(1), eps / 2.0
 
 
-def outcome_bits(solve, *args):
-    """The result of ``solve(*args)`` with floats as hex, or its refusal type."""
+def outcome_bits(solve, view, *args):
+    """``view(solve(*args))`` with floats as hex, or the type of the refusal."""
     try:
-        return exact_bits(solve(*args))
+        return exact_bits(view(solve(*args)))
     except (FeasibilityError, ValueError) as err:
         return type(err)
 
 
-def split_bits(split):
-    return split.agree, exact_bits(split.eta), exact_bits(split.lambdas), exact_bits(split.radii)
+def factors(cert):
+    return cert.u, cert.v
+
+
+def split_fields(split):
+    return split.agree, split.eta, split.lambdas, split.radii
 
 
 def reduction_cases():
@@ -376,16 +380,14 @@ class TestFiniteIsCountableAtHalfTheRadius:
 
     def test_factor_seq_matches_factor_countable(self):
         for x, y, z, eps in reduction_cases():
-            cert = lambda c: (c.u, c.v)
-            seq = outcome_bits(lambda *a: cert(factor_seq(*a)), x, y, z, eps, "finite")
-            f, g, h, p, half = counting_instance(x, y, z, eps)
-            lp = outcome_bits(lambda *a: cert(factor_countable(*a)), f, g, h, p, half)
+            seq = outcome_bits(factor_seq, factors, x, y, z, eps, "finite")
+            lp_instance = counting_instance(x, y, z, eps)
+            lp = outcome_bits(factor_countable, factors, *lp_instance)
             assert seq == lp, (x, y, z, eps)
 
     def test_seq_split_matches_agreement_split(self):
         for x, y, z, eps in reduction_cases():
-            seq = outcome_bits(lambda *a: split_bits(seq_split(*a)), x, y, z, eps, "finite")
-            lp = outcome_bits(
-                lambda *a: split_bits(agreement_split(*a)), *counting_instance(x, y, z, eps)
-            )
+            seq = outcome_bits(seq_split, split_fields, x, y, z, eps, "finite")
+            lp_instance = counting_instance(x, y, z, eps)
+            lp = outcome_bits(agreement_split, split_fields, *lp_instance)
             assert seq == lp, (x, y, z, eps)
