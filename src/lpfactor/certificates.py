@@ -10,7 +10,7 @@ verifier, not to the certificate; ``from_json`` ignores the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = ["FactorizationCertificate"]
@@ -33,21 +33,44 @@ class FactorizationCertificate:
         if len(self.u) != len(self.v):
             raise ValueError("factor pair lengths differ")
 
+    @classmethod
+    def _trusted(
+        cls, u, v, radius_u, radius_v, strict_u=True, strict_v=True, params=None
+    ) -> "FactorizationCertificate":
+        """The certificate a solver built: u and v are sequences of floats
+        of one length.
+
+        Skips the constructor's conversion and length check, which cannot
+        fail or change anything on such values; u and v become tuples.
+        """
+        cert = object.__new__(cls)
+        cert.__dict__.update(
+            u=tuple(u),
+            v=tuple(v),
+            radius_u=radius_u,
+            radius_v=radius_v,
+            strict_u=strict_u,
+            strict_v=strict_v,
+            params=params,
+        )
+        return cert
+
     def transposed(self) -> "FactorizationCertificate":
         """The certificate with the roles of u and v exchanged.
 
         This is the one p = oo swap: the p = 1 solve of (g, f, h),
         transposed, answers (f, g, h) at p = oo, and a closed v-side bound
-        lands on the u side.
+        lands on the u side.  u and v were converted when this certificate
+        was built.
         """
-        return replace(
-            self,
-            u=self.v,
-            v=self.u,
-            radius_u=self.radius_v,
-            radius_v=self.radius_u,
-            strict_u=self.strict_v,
-            strict_v=self.strict_u,
+        return self._trusted(
+            self.v,
+            self.u,
+            self.radius_v,
+            self.radius_u,
+            self.strict_v,
+            self.strict_u,
+            self.params,
         )
 
     def to_json(self) -> dict:

@@ -22,8 +22,10 @@ in L_q, h in L_1) through the cheap sufficient bound of ``norm_is_finite``.
 The ``SimpleFunction`` constructors have already checked coefficients and
 measures.  ``_solve_checked`` runs that check once and answers p = oo by
 the certificate's one swap around a finite-p body on the checked tuples.
-``_tuple_split`` computes E, eta and the radii once, which
-``_agreement`` wraps and ``_countable_uv`` hands to
+``_tuple_split`` is the one radius rule: it computes E, eta and, in
+C-level passes, flat lists in step over the atoms outside E of their
+indices, defects, r_k and R_k.  ``_agreement`` wraps them in an
+``AgreementSplit``, and ``_countable_uv`` hands them to
 ``scalar._split_atoms`` for the per-atom work on bare floats.  An atom
 whose float radii starve the kernel gets the checked fallback, against
 rational lower bounds of its true radii; if one lies below the smallest
@@ -161,29 +163,30 @@ def _tuple_split(fs, gs, hs, measures, p: Exponent, eps: float):
     """The split of a checked instance with finite p, on bare tuples.
 
     Returns the per-atom defects, the mask of atoms outside E, eta, its
-    positive scale, and an iterator of (i, (r_i, R_i)) over the atoms
-    outside E, as ``scalar._split_atoms`` takes it.  Raises FeasibilityError
-    unless eta < eps^2/4.
+    positive scale, and the four flat sequences over the atoms outside E,
+    in step, that ``scalar._split_atoms`` takes: their indices, their
+    defects, r_i and R_i.  Raises FeasibilityError unless eta < eps^2/4.
     """
     defects, outside, eta = split_defects(
         fs, gs, hs, measures, eps, "countable factorization"
     )
-    working = compress(range(len(defects)), outside)
+    working = list(compress(range(len(defects)), outside))
+    working_defects = list(compress(defects, outside))
     # The radius ratio lambda_k / mu(A_k) reduces to |z_k - x_k y_k| / eta:
     # the measure cancels, so compute it that way, immune to the spurious
     # under/overflow a share / eta / mu round trip can suffer.  The scale
     # stays positive on the all-shares-subnormal edge, where eta itself
     # rounds to zero while the atoms still need positive radii.
-    scale = max(eta, outside.count(True) * 5e-324)
-    ratios = list(map(truediv, compress(defects, outside), repeat(scale)))
+    scale = max(eta, len(working) * 5e-324)
+    ratios = list(map(truediv, working_defects, repeat(scale)))
     inv_q = conjugate(p).reciprocal()
     if inv_q == 0.0:  # p = 1: r_k = lambda_k eps / mu(A_k), R_k = eps
-        big_rs = repeat(eps)
+        big_rs = repeat(eps, len(working))
     else:
-        big_rs = map(mul, repeat(eps), map(pow, ratios, repeat(inv_q)))
+        big_rs = list(map(mul, repeat(eps), map(pow, ratios, repeat(inv_q))))
         ratios = map(pow, ratios, repeat(p.reciprocal()))
-    rs = map(mul, repeat(eps), ratios)
-    return defects, outside, eta, scale, zip(working, zip(rs, big_rs))
+    rs = list(map(mul, repeat(eps), ratios))
+    return defects, outside, eta, scale, (working, working_defects, rs, big_rs)
 
 
 def agreement_split(
@@ -207,17 +210,18 @@ def agreement_split(
 
 def _agreement(fs, gs, hs, measures, p: Exponent, eps: float) -> AgreementSplit:
     """``agreement_split`` at finite p on checked tuples."""
-    defects, outside, eta, _, radii = _tuple_split(fs, gs, hs, measures, p, eps)
+    defects, outside, eta, _, atoms = _tuple_split(fs, gs, hs, measures, p, eps)
+    working, working_defects, rs, big_rs = atoms
     if eta > 0:  # lambda_k = |z_k - x_k y_k| mu(A_k) / eta
-        shares = map(mul, compress(defects, outside), compress(measures, outside))
+        shares = map(mul, working_defects, compress(measures, outside))
         lambdas = map(truediv, shares, repeat(eta))
     else:
         lambdas = repeat(0.0)
     return AgreementSplit(
         agree=frozenset(compress(range(len(defects)), map(not_, outside))),
         eta=eta,
-        lambdas=dict(zip(compress(range(len(defects)), outside), lambdas)),
-        radii=dict(radii),
+        lambdas=dict(zip(working, lambdas)),
+        radii=dict(zip(working, zip(rs, big_rs))),
     )
 
 
@@ -241,14 +245,14 @@ def factor_countable(
 def _countable(fs, gs, hs, space, p: Exponent, eps: float):
     """``factor_countable`` at finite p on checked tuples."""
     u, v = _countable_uv(fs, gs, hs, space.measures, p, eps)
-    return FactorizationCertificate(
-        u=u, v=v, radius_u=eps, radius_v=eps, strict_u=True, strict_v=p.value != 1
-    )
+    # u and v: float lists of one length, the checked tuples' copies
+    # rewritten by the kernel, which returns floats.
+    return FactorizationCertificate._trusted(u, v, eps, eps, strict_v=p.value != 1)
 
 
 def _countable_uv(fs, gs, hs, measures, p: Exponent, eps: float):
     """The lists u and v of ``factor_countable`` at finite p on checked tuples."""
-    _, outside, _, scale, radii = _tuple_split(fs, gs, hs, measures, p, eps)
+    _, outside, _, scale, atoms = _tuple_split(fs, gs, hs, measures, p, eps)
     u, v = copy_pairs(fs, gs, hs, outside)
 
     def exact_radii(d, _):  # r = eps (d/scale)^(1/p), R = eps (d/scale)^(1/q)
@@ -258,5 +262,5 @@ def _countable_uv(fs, gs, hs, measures, p: Exponent, eps: float):
         inv_q = conjugate(p).reciprocal()
         return eps_q * _power_floor(t, p.reciprocal()), eps_q * _power_floor(t, inv_q)
 
-    _split_atoms(fs, gs, hs, radii, exact_radii, "countable atom", u, v)
+    _split_atoms(fs, gs, hs, *atoms, exact_radii, "countable atom", u, v)
     return u, v

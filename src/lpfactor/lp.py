@@ -29,18 +29,21 @@ tuples: coefficients, measures, the flagged atoms and the defect already
 computed.  ``_bounded`` quantizes with ``quantize_grid`` and
 ``quantize_geometric`` (coefficient tuples in, coefficient tuples out) and
 solves the quantized problem with the public ``factor_countable``, which
-checks membership of the quantized functions.
+checks membership of the quantized functions.  Values built from checked
+ones (that inner problem, the envelope, certificates and the parameter
+record) go through private constructors that skip the public scans.
 
 The per-atom passes are single loops or comprehensions, not chains of
 ``map`` over builtins such as ``max``.  The quantizers test each element
 once against the level their estimate gives and walk to the right level
 only when that test fails; the envelope that steers the truncation is
-built in one loop over the atoms outside E.
+built in one loop over the atoms outside E, and the core is the mask of
+kept atoms that ``truncate_support`` leaves on its result.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import and_, not_, truth
@@ -55,6 +58,7 @@ from .measure import (
     Exponent,
     MeasureSpace,
     SimpleFunction,
+    check_eps,
     conjugate,
     fsum_or_inf,
     l1_defect,
@@ -99,6 +103,18 @@ class QuantizationParams:
     outer_delta: Optional[float] = None
     g_sup: Optional[float] = None
 
+    def _with_tail(self, gamma, outer_delta, g_sup) -> "QuantizationParams":
+        """These parameters with the general stage's three fields set.
+
+        What ``dataclasses.replace`` returns, without its walk over the
+        fields: the class has no check to rerun.
+        """
+        params = object.__new__(QuantizationParams)
+        params.__dict__.update(
+            self.__dict__, gamma=gamma, outer_delta=outer_delta, g_sup=g_sup
+        )
+        return params
+
     def to_json(self) -> dict:
         d_float = float(self.d)
         return {
@@ -126,14 +142,16 @@ def select_params(
     bound (the caller computes m).  eps1 is found by bisection against
     ``eps1 + sqrt(4 defect + 8 eps1) < eps`` and set to half the feasible
     supremum; delta to half its admissible bound; d to the midpoint of its
-    feasible interval, computed exactly from integer ratios.
+    feasible interval, computed exactly from integer ratios.  Raises
+    ValueError unless 0 < eps < oo and m > 0.
     """
     if not isinstance(p, Exponent):
         p = Exponent(p)
+    check_eps(eps)
     bound = (eps / 2.0) * (eps / 2.0)
     if not defect < bound:
         raise FeasibilityError(defect, bound, context="parameter selection")
-    if m <= 0:
+    if not m > 0:  # NaN too
         raise ValueError("m must be positive")
 
     # Bisection on the admissibility test t + sqrt(4 defect + 8 t) < eps.
@@ -231,7 +249,7 @@ def quantize_geometric(
     """
     if not 0 < d < 1:
         raise ValueError("d must lie strictly between 0 and 1")
-    if m <= 0:
+    if not m > 0:  # NaN too
         raise ValueError("m must be positive")
     d_f = float(d)
     if max(map(abs, coeffs), default=0.0) > m:
@@ -322,7 +340,7 @@ def snap_to_gamma_grid(value: float, gamma: float, cap: float) -> float:
     of the result from the input: a rounded grid point can land on the
     input, which then snaps one step further.
     """
-    if gamma <= 0:
+    if not gamma > 0:  # NaN too
         raise ValueError("gamma must be positive")
     t = abs(value)
     if t > cap:
@@ -367,11 +385,15 @@ def _bounded(fs, gs, hs, measures, core, defect, p, eps, u, v):
     f_q = quantize_grid(f_c, params.delta)
     g_q = quantize_grid(g_c, params.delta)
     h_q = quantize_geometric(h_c, params.d, m)
-    space = MeasureSpace(mus)
+    # Nothing for the constructors to find: the measures are checked ones,
+    # with a finite sum, and the quantizers return tuples of floats no
+    # larger than their finite inputs or m.  factor_countable still checks
+    # membership of the quantized functions.
+    space = MeasureSpace._trusted(mus)
     inner = factor_countable(
-        SimpleFunction(space, f_q),
-        SimpleFunction(space, g_q),
-        SimpleFunction(space, h_q),
+        SimpleFunction._trusted(space, f_q),
+        SimpleFunction._trusted(space, g_q),
+        SimpleFunction._trusted(space, h_q),
         p,
         params.eps_bar,
     )
@@ -410,9 +432,9 @@ def _bounded_body(fs, gs, hs, space, p, eps):
     # Atoms in E keep an exact split; the pipeline runs on the others.
     u, v = copy_pairs(fs, gs, hs, outside)
     params = _bounded(fs, gs, hs, measures, outside, defect, p, eps, u, v)
-    return FactorizationCertificate(
-        u=u, v=v, radius_u=eps, radius_v=eps, params=params
-    )
+    # u and v: float lists of one length, copies of the checked tuples
+    # rewritten with floats by the exact splits and the bounded stage.
+    return FactorizationCertificate._trusted(u, v, eps, eps, params=params)
 
 
 def factor_general(
@@ -443,8 +465,8 @@ def _general(fs, gs, hs, space, p, eps):
 
     u = list(fs)
     v = list(gs)
-    if not any(defects):  # h = fg everywhere
-        return FactorizationCertificate(u=u, v=v, radius_u=eps, radius_v=eps)
+    if not any(defects):  # h = fg everywhere: the checked f and g
+        return FactorizationCertificate._trusted(u, v, eps, eps)
 
     # Inner radius and tail budget: midpoint of (2 sqrt(defect), eps), then
     # half of gamma's admissible supremum (eps - delta)/2.
@@ -495,13 +517,14 @@ def _general(fs, gs, hs, space, p, eps):
     core = outside
     if not (saturated or tail_budget < 1e-290):
         try:
-            trunc = truncate_support(SimpleFunction(space, envelope), tail_budget)
+            # Every envelope value is a finite float: a power that overflows
+            # raises and saturates, and |f|, |h| are checked coefficients.
+            envelope_f = SimpleFunction._trusted(space, tuple(envelope))
+            trunc = truncate_support(envelope_f, tail_budget)
         except ValueError:  # the envelope's integral overflows
             pass
         else:
-            core = [False] * len(fs)
-            for i in trunc.kept_indices:
-                core[i] = True
+            core = trunc._kept_mask  # A, over every atom of the space
 
     core_defect = l1_defect(defects, measures, core)
     params = _bounded(fs, gs, hs, measures, core, core_defect, p, delta, u, v)
@@ -529,7 +552,7 @@ def _general(fs, gs, hs, space, p, eps):
             v[i] = math.copysign(t**inv_q, z) if z != 0 else 0.0
 
     if params is not None:
-        params = replace(params, gamma=gamma, outer_delta=delta, g_sup=g_sup)
-    return FactorizationCertificate(
-        u=u, v=v, radius_u=eps, radius_v=eps, params=params
-    )
+        params = params._with_tail(gamma, delta, g_sup)
+    # u and v: float lists of one length, copies of the checked tuples
+    # rewritten with floats by the core and the tail extensions.
+    return FactorizationCertificate._trusted(u, v, eps, eps, params=params)

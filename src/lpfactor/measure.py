@@ -14,11 +14,11 @@ shared by value, are fixed when an exponent is built.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
-from operator import mul, truediv
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, le, mul, truediv
 from typing import Sequence, Union
 
 INFINITE = math.inf
@@ -60,6 +60,15 @@ def pow_or_inf(base: float, expo: float) -> float:
         return INFINITE
 
 
+def all_finite(values: Sequence[float]) -> bool:
+    """Whether every float in values is finite.
+
+    A finite sum has finite terms; a sum of finite terms can still
+    overflow, so the scan decides when the sum is not finite.
+    """
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
 _NONNEGATIVE = (0.0).__le__  # False for NaN as well as for negatives
 
 
@@ -97,6 +106,16 @@ class MeasureSpace:
 
     def __len__(self) -> int:
         return len(self.measures)
+
+    @classmethod
+    def _trusted(cls, measures: tuple) -> "MeasureSpace":
+        """The space on measures already checked: a tuple of floats >= 0.
+
+        Skips the constructor's scans; each caller says why they cannot fail.
+        """
+        space = object.__new__(cls)
+        object.__setattr__(space, "measures", measures)
+        return space
 
     @classmethod
     def counting(cls, n: int) -> "MeasureSpace":
@@ -204,14 +223,24 @@ class SimpleFunction:
             raise ValueError(
                 f"{len(coeffs)} coefficients for {len(self.space)} atoms"
             )
-        # A finite sum has finite terms; a sum of finite terms can still
-        # overflow, so the scan decides when the sum is not finite.
-        if not math.isfinite(sum(coeffs)) and not all(map(math.isfinite, coeffs)):
+        if not all_finite(coeffs):
             bad = next(c for c in coeffs if not math.isfinite(c))
             raise ValueError(f"coefficients must be finite reals, got {bad!r}")
 
     def __len__(self) -> int:
         return len(self.coefficients)
+
+    @classmethod
+    def _trusted(cls, space: MeasureSpace, coefficients: tuple) -> "SimpleFunction":
+        """The function of coefficients already checked: a tuple of finite
+        floats, one per atom of ``space``.
+
+        Skips the constructor's scans; each caller says why they cannot fail.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "space", space)
+        object.__setattr__(f, "coefficients", coefficients)
+        return f
 
 
 def _same_space(f: SimpleFunction, g: SimpleFunction) -> None:
@@ -322,6 +351,10 @@ class TruncationResult:
     tail_value : float, the integral of |f| outside A
     sup_on_A : float, the largest |f| over A (0 for empty A)
     level : int, the threshold k with A = {1/k <= |f| <= k}
+
+    ``truncate_support`` also leaves A as a mask over every atom of the
+    space, a list of bools, in ``_kept_mask``: not a field, so equality,
+    ``repr`` and ``asdict`` see only the four above.
     """
 
     kept_indices: tuple
@@ -362,49 +395,58 @@ def truncate_support(f: SimpleFunction, eps: float) -> TruncationResult:
     Uses the smallest k that satisfies the tail bound.  Requires f to be in
     L1 (finite 1-norm); eps must be positive.  The empty set is a valid
     result when the whole 1-norm is already below eps.
+
+    Linear in the atoms apart from sorting the distinct entry levels: one
+    pass groups the shares |f| mu by the level at which their atom enters
+    A.  The tail is then summed from the top level down, each level's
+    shares from the highest index down, for as long as it stays below eps:
+    k is the last level the walk reaches, and the tail the sum of the
+    shares above k.  A is the mask of entry levels up to k.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN fails too
         raise ValueError("eps must be positive")
     coeffs = f.coefficients
     if not norm_is_finite(coeffs, f.space.measures, _L1):
         raise ValueError("truncation requires a function with finite 1-norm")
-    # Atoms with |f| = 0 never satisfy 1/k <= |f| and never contribute tail;
-    # a finite 1-norm keeps every other atom's |f| mu finite.
-    support = list(compress(range(len(coeffs)), coeffs))
-    mags = list(map(abs, compress(coeffs, coeffs)))
-    shares = list(map(mul, mags, compress(f.space.measures, coeffs)))
+    # Atoms with |f| = 0 never satisfy 1/k <= |f| (their entry level is
+    # oo) and never contribute tail; a finite 1-norm keeps every other
+    # atom's |f| mu finite.
+    mags = list(map(abs, coeffs))
     ceil = math.ceil  # _entry_level's answer for t >= 1, without the call
-    entry = [ceil(t) if t >= 1.0 else _entry_level(t) for t in mags]
-    order = sorted(range(len(entry)), key=entry.__getitem__)
-    levels = list(map(entry.__getitem__, order))
-
-    # suffix[i] is the tail left once the first i atoms (by level) are kept,
-    # summed from the end.
-    tail_order = reversed(list(map(shares.__getitem__, order)))
-    suffix = list(accumulate(tail_order, initial=0.0))
-    suffix.reverse()
-
-    # k* is 1 if even tail(1) is small enough, otherwise the first entry
-    # level whose inclusion brings the tail below eps.  tail(k) only drops
-    # when k passes an entry level, so those are the only candidates.
-    n = len(levels)
-    chosen = 1
-    i = kept_upto = bisect_right(levels, 1)
-    if suffix[i] >= eps:
-        while i < n:
-            level = levels[i]
-            j = bisect_right(levels, level, i)
-            if suffix[j] < eps:
-                chosen, kept_upto = level, j
-                break
-            i = j
+    entry = [
+        ceil(t) if t >= 1.0 else _entry_level(t) if t else INFINITE for t in mags
+    ]
+    shares = map(mul, compress(mags, coeffs), compress(f.space.measures, coeffs))
+    by_level = {}
+    for k, share in zip(compress(entry, coeffs), shares):
+        group = by_level.get(k)
+        if group is None:
+            by_level[k] = [share]
         else:
-            # Unreachable: the tail after the last entry level is 0 < eps.
-            raise AssertionError("no truncation level found")
-    kept = order[:kept_upto]
-    return TruncationResult(
-        kept_indices=tuple(sorted(map(support.__getitem__, kept))),
-        tail_value=suffix[kept_upto],
-        sup_on_A=max(map(mags.__getitem__, kept), default=0.0),
+            group.append(share)
+
+    # tail(k) only drops when k passes an entry level, so the candidates
+    # are 1 and the entry levels.  Adding nonnegative shares never lowers
+    # a float sum, so tail(k) falls with k and the walk down stops at the
+    # first candidate whose tail is not below eps; the top one's is 0.
+    candidates = sorted(by_level, reverse=True)
+    if not candidates or candidates[-1] != 1:
+        candidates.append(1)
+    tail = 0.0
+    for k in candidates:
+        if not tail < eps:
+            break
+        chosen, tail_value = k, tail
+        group = by_level.get(k)
+        if group is not None:
+            group.reverse()
+            tail = reduce(add, group, tail)
+    kept = list(map(le, entry, repeat(chosen)))
+    result = TruncationResult(
+        kept_indices=tuple(compress(range(len(kept)), kept)),
+        tail_value=tail_value,
+        sup_on_A=max(compress(mags, kept), default=0.0),
         level=chosen,
     )
+    object.__setattr__(result, "_kept_mask", kept)
+    return result

@@ -12,8 +12,15 @@ certificates are reproducible:
 Case 1 wins when both 1 and 2 apply; boundaries (|x| = r/4 exactly) fall
 through to the next case.
 
-Where rounding starves the float radii, ``_checked_pair`` checks the same
-three constructions exactly against rational lower bounds of the radii.
+``factor_scalar`` is the public kernel for one atom, and ``_split`` its
+body on bare floats.  The solvers run ``_split_atoms``, the one per-atom
+loop of ``factor_countable`` and both ``factor_seq`` schemes, on flat
+inputs their split already holds: the working indices, their defects
+|z - xy| and the radii (r, R), each computed by the caller's own radius
+rule.  The loop tests feasibility against the defect it is given and
+case 1 inline, and calls ``_split`` for cases 2 and 3.  Where rounding
+starves the float radii, ``_checked_pair`` checks the same three
+constructions exactly against rational lower bounds of the radii.
 """
 from __future__ import annotations
 
@@ -82,23 +89,28 @@ def _split(x: float, y: float, r: float, R: float, z: float):
     return u, v, 3
 
 
-def _split_atoms(xs, ys, zs, radii, exact_radii, label, u, v):
-    """Split z = uv at each atom i of ``radii``, writing u[i] and v[i].
+def _split_atoms(xs, ys, zs, working, defects, rs, big_rs, exact_radii, label, u, v):
+    """Split z = uv at each working atom, writing u[i] and v[i].
 
-    ``radii`` yields (i, (r, R)) for ``_split``.  Where those starve it,
-    ``_checked_pair`` takes ``exact_radii(d, R)``: rational lower bounds of
-    the true radii, from the atom's float defect d.
+    The one per-atom loop of ``factor_countable`` and both ``factor_seq``
+    schemes.  ``working``, ``defects``, ``rs`` and ``big_rs`` run in step:
+    atom i, its defect |z - xy|, which the caller's split already holds, and
+    its radii (r, R).  u and v hold x and y at the working atoms on
+    entry, so case 1 only writes v; cases 2 and 3 go through ``_split``.
+    Where the float radii starve the kernel, ``_checked_pair`` takes
+    ``exact_radii(d, R)``: rational lower bounds of the true radii.
     """
     inf = math.inf
-    for i, (r, big_r) in radii:
-        x, y, z = xs[i], ys[i], zs[i]
-        if 0.0 < r < inf and 0.0 < big_r < inf:
-            pair = _split(x, y, r, big_r, z)
-            if pair is not None:
-                u[i], v[i], _ = pair
-                continue
-        r_low, big_low = exact_radii(abs(z - x * y), big_r)
-        u[i], v[i] = _checked_pair(x, y, z, r_low, big_low, f"{label} {i}")
+    for i, d, r, big_r in zip(working, defects, rs, big_rs):
+        x = xs[i]
+        if 0.0 < r < inf and 0.0 < big_r < inf and d < r * big_r / 4.0:
+            if abs(x) > r / 4.0:
+                v[i] = zs[i] / x
+            else:
+                u[i], v[i], _ = _split(x, ys[i], r, big_r, zs[i])
+            continue
+        r_low, big_low = exact_radii(d, big_r)
+        u[i], v[i] = _checked_pair(x, ys[i], zs[i], r_low, big_low, f"{label} {i}")
 
 
 def _checked_pair(x: float, y: float, z: float, r: Fraction, R: Fraction, context: str):

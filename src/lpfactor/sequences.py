@@ -105,10 +105,11 @@ def _edge(x, y, z, eps, strategy):
 
 
 def _tail_split(xs, ys, zs, eps):
-    """TAIL's working indices, eta, and lambda_k, r_k and R_k along them.
+    """TAIL's working indices, their defects, eta, lambda_k, r_k and R_k.
 
-    The radii are iterators.  Raises FeasibilityError unless the l1 defect
-    is strictly below eps^2/16.
+    Flat lists in step along the working indices, as
+    ``scalar._split_atoms`` takes them.  Raises FeasibilityError unless the
+    l1 defect is strictly below eps^2/16.
     """
     diffs = tuple(map(abs, map(sub, zs, map(mul, xs, ys))))
     # Zero terms leave an exact sum unchanged.
@@ -118,15 +119,15 @@ def _tail_split(xs, ys, zs, eps):
         raise FeasibilityError(defect, bound, context="sequence factorization")
     working = list(compress(range(len(diffs)), diffs))
     if not working:
-        return working, 0.0, [], (), ()
+        return working, [], 0.0, [], [], []
 
     shares = list(compress(diffs, diffs))
     weights = tail_weights(diffs)
     eta = 2.0 * weights.w[0]
     ws = list(compress(weights.w, diffs))
     lambdas = list(map(truediv, shares, map(mul, repeat(eta), ws)))
-    rs = map(mul, lambdas, repeat(eps))
-    return working, eta, lambdas, rs, map(mul, repeat(2.0), ws)
+    rs = list(map(mul, lambdas, repeat(eps)))
+    return working, shares, eta, lambdas, rs, list(map(mul, repeat(2.0), ws))
 
 
 def seq_split(
@@ -145,7 +146,7 @@ def seq_split(
     with _edge(x, y, z, eps, strategy) as (xs, ys, zs):
         if strategy == "finite":
             return _agreement(xs, ys, zs, (1.0,) * len(xs), _L1, eps / 2.0)
-        working, eta, lambdas, rs, big_rs = _tail_split(xs, ys, zs, eps)
+        working, _, eta, lambdas, rs, big_rs = _tail_split(xs, ys, zs, eps)
     return AgreementSplit(
         agree=frozenset(range(len(xs))).difference(working),
         eta=eta,
@@ -173,8 +174,9 @@ def factor_seq(
     with _edge(x, y, z, eps, strategy) as (xs, ys, zs):
         if strategy == "finite":
             u, v = _countable_uv(xs, ys, zs, (1.0,) * len(xs), _L1, eps / 2.0)
-            return FactorizationCertificate(u=u, v=v, radius_u=eps, radius_v=eps)
-        working, eta, _, rs, big_rs = _tail_split(xs, ys, zs, eps)
+            # Float lists of the padded length, as in factor_countable.
+            return FactorizationCertificate._trusted(u, v, eps, eps)
+        working, shares, eta, _, rs, big_rs = _tail_split(xs, ys, zs, eps)
         u = list(xs)
         v = list(ys)
 
@@ -182,6 +184,8 @@ def factor_seq(
             r = Fraction(d) * Fraction(eps) / Fraction(eta)
             return 2 * r / Fraction(big_r), Fraction(big_r)
 
-        radii = zip(working, zip(rs, big_rs))
-        _split_atoms(xs, ys, zs, radii, exact_radii, "sequence index", u, v)
-    return FactorizationCertificate(u=u, v=v, radius_u=eps, radius_v=eps)
+        _split_atoms(
+            xs, ys, zs, working, shares, rs, big_rs, exact_radii, "sequence index", u, v
+        )
+    # u and v: copies of the padded float tuples, rewritten by the kernel.
+    return FactorizationCertificate._trusted(u, v, eps, eps)

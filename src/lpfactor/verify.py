@@ -18,7 +18,14 @@ from typing import Union
 
 from .certificates import FactorizationCertificate
 from .instances import LpInstance, SeqInstance
-from .measure import INFINITE, SimpleFunction, conjugate, fsum_or_inf, norm
+from .measure import (
+    INFINITE,
+    SimpleFunction,
+    all_finite,
+    conjugate,
+    fsum_or_inf,
+    norm,
+)
 
 __all__ = ["VerificationReport", "verify_certificate"]
 
@@ -94,11 +101,12 @@ def _verify_lp(instance: LpInstance, certificate: FactorizationCertificate):
 
 def _distance(space, diffs: tuple, p) -> float:
     """The L_p norm of a difference; INFINITE if one overflowed or is NaN."""
-    try:
-        diff = SimpleFunction(space, diffs)
-    except ValueError:  # the constructor's finiteness check
+    if not all_finite(diffs):
         return INFINITE
-    return norm(diff, p)
+    # The rest of the constructor's check cannot fail: diffs is a tuple of
+    # floats (a difference with a float is one), and _verify_lp matched its
+    # length to the space.
+    return norm(SimpleFunction._trusted(space, diffs), p)
 
 
 def _verify_seq(instance: SeqInstance, certificate: FactorizationCertificate):

@@ -721,6 +721,18 @@ class TestFactorGeneral:
     [
         (lambda: select_params(0.0, 0.0, 2, 1.0), "m must be positive"),
         (lambda: select_params(0.0, -1.0, 2, 1.0), "m must be positive"),
+        pytest.param(
+            lambda: select_params(0.0, math.nan, 2, 1.0), "m must be positive",
+            id="select_params-nan-m",
+        ),
+        *(
+            pytest.param(
+                lambda eps=eps: select_params(0.01, 5.0, 2, eps),
+                "eps must be positive and finite",
+                id=f"select_params-{eps}-eps",
+            )
+            for eps in (math.inf, -1.0, math.nan)
+        ),
         (lambda: quantize_grid((1.0,), 0.0), "delta must be positive"),
         (lambda: quantize_grid((1.0,), -1.0), "delta must be positive"),
         (lambda: quantize_grid((0.0,), math.inf), "delta must be positive and finite"),
@@ -728,7 +740,15 @@ class TestFactorGeneral:
         (lambda: quantize_geometric((0.5,), 1, 1.0), "d must lie strictly"),
         (lambda: quantize_geometric((0.5,), 0.0, 1.0), "d must lie strictly"),
         (lambda: quantize_geometric((0.5,), 0.5, 0.0), "m must be positive"),
+        pytest.param(
+            lambda: quantize_geometric((0.5,), 0.5, math.nan), "m must be positive",
+            id="quantize_geometric-nan-m",
+        ),
         (lambda: snap_to_gamma_grid(1.0, 0.0, 2.0), "gamma must be positive"),
+        pytest.param(
+            lambda: snap_to_gamma_grid(1.0, math.nan, 2.0), "gamma must be positive",
+            id="snap_to_gamma_grid-nan-gamma",
+        ),
         # Each defect share is 1.7e-2, but the measures sum past the doubles.
         (
             lambda: factor_bounded(

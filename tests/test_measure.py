@@ -4,7 +4,9 @@ import dataclasses
 import math
 import pickle
 import re
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 import pytest
@@ -291,6 +293,12 @@ class TestTruncateSupport:
         with pytest.raises(ValueError):
             truncate_support(sf([INFINITE, 1.0], [1.0, 0.0]), 0.5)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_rejects_an_eps_that_is_not_positive(self, eps):
+        # A NaN eps used to pass and return an empty A with the whole tail.
+        with pytest.raises(ValueError, match="eps must be positive"):
+            truncate_support(sf([1.0, 1.0], [3.0, 0.5]), eps)
+
     def test_level_one_keeps_unit_atoms(self):
         res = truncate_support(sf([1.0, 1.0], [1.0, 1.0]), 3.0)
         assert res.level == 1
@@ -335,6 +343,111 @@ class TestTruncateSupport:
         assert res.tail_value == 0.0
         assert res.sup_on_A == 2.0**40
         assert res.level == 2**40
+
+
+def _sorted_tails(coeffs, measures):
+    """The support, |f| on it, its atoms sorted by entry level, their levels,
+    and the suffix sums of the shares in that order: the first form of
+    ``truncate_support``."""
+    support = [i for i, c in enumerate(coeffs) if c != 0.0]
+    mags = [abs(coeffs[i]) for i in support]
+    shares = [abs(coeffs[i]) * measures[i] for i in support]
+    entry = [_entry_level(t) for t in mags]
+    order = sorted(range(len(entry)), key=entry.__getitem__)
+    levels = [entry[j] for j in order]
+    suffix = list(accumulate(reversed([shares[j] for j in order]), initial=0.0))
+    suffix.reverse()
+    return support, mags, order, levels, suffix
+
+
+def reference_truncation(coeffs, measures, eps):
+    """(kept_indices, tail_value, sup_on_A, level) as first computed: a sort
+    of the support by entry level and a search over the sorted levels."""
+    support, mags, order, levels, suffix = _sorted_tails(coeffs, measures)
+    chosen = 1
+    i = kept_upto = bisect_right(levels, 1)
+    if suffix[i] >= eps:
+        while i < len(levels):
+            j = bisect_right(levels, levels[i], i)
+            if suffix[j] < eps:
+                chosen, kept_upto = levels[i], j
+                break
+            i = j
+    kept = order[:kept_upto]
+    return (
+        tuple(sorted(support[j] for j in kept)),
+        suffix[kept_upto],
+        max((mags[j] for j in kept), default=0.0),
+        chosen,
+    )
+
+
+# Magnitudes that share entry levels: 2.1, 2.5, 2.9, 3.0, 0.35 and 0.4 enter
+# at 3, 0.125, 7.5 and 8.0 at 8; the double nearest 1/3 lies below a third
+# and enters at 4.
+_TIED = (0.35, 0.4, 1 / 3, 1.0, 2.1, 2.5, 2.9, 3.0, 0.125, 8.0, 7.5)
+
+
+@st.composite
+def truncation_cases(draw):
+    """A function in L1 and an eps, often within an ulp of one of its tails."""
+    n = draw(st.integers(0, 16))
+    measures = draw(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.just(INFINITE),
+                st.sampled_from((1.0, 0.5, 3.0)),
+                st.floats(1e-3, 1e3),
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    magnitude = st.one_of(st.just(0.0), st.sampled_from(_TIED), st.floats(1e-8, 1e8))
+    # An INFINITE atom must carry 0 for the 1-norm to be finite.
+    coeffs = [
+        0.0 if m == INFINITE else draw(magnitude) * draw(st.sampled_from((1.0, -1.0)))
+        for m in measures
+    ]
+    tails = [t for t in _sorted_tails(coeffs, measures)[4] if t > 0.0]
+    if tails and draw(st.booleans()):
+        tail = draw(st.sampled_from(tails))
+        eps = draw(
+            st.sampled_from(
+                (math.nextafter(tail, 0.0), tail, math.nextafter(tail, INFINITE))
+            )
+        )
+    else:
+        eps = draw(st.floats(1e-9, 1e9))
+    return coeffs, measures, eps
+
+
+class TestTruncationMatchesItsFirstForm:
+    """The linear selection is repr-identical to the first, sort-based one."""
+
+    @given(case=truncation_cases())
+    @example(case=([2.1, 2.9, 0.4, 3.0], [1.0, 1.0, 1.0, 1.0], 0.4))
+    @example(case=([0.0, 5.0, -0.0], [INFINITE, 0.0, 2.0], 1.0))
+    @example(case=([], [], 1.0))
+    @settings(max_examples=400)
+    def test_random(self, case):
+        coeffs, measures, eps = case
+        res = truncate_support(sf(measures, coeffs), eps)
+        got = (res.kept_indices, res.tail_value, res.sup_on_A, res.level)
+        assert repr(got) == repr(reference_truncation(coeffs, measures, eps))
+        # The mask factor_general takes as its core: A over every atom.
+        kept = set(res.kept_indices)
+        assert res._kept_mask == [i in kept for i in range(len(coeffs))]
+
+    def test_a_tail_equal_to_eps_takes_the_next_level(self):
+        coeffs, measures = (2.5, 2.1, 5.0), (1.0, 1.0, 1.0)
+        # Levels 3, 3 and 5: tail(3) = 5.0 is not below eps = 5.0, so the
+        # level is 5; one ulp more and level 3 is enough.
+        at = truncate_support(sf(measures, coeffs), 5.0)
+        above = truncate_support(sf(measures, coeffs), math.nextafter(5.0, 6.0))
+        assert (at.level, at.kept_indices, at.tail_value) == (5, (0, 1, 2), 0.0)
+        assert (above.level, above.kept_indices, above.tail_value) == (3, (0, 1), 5.0)
 
 
 def _entry_level_reference(t):

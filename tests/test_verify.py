@@ -4,6 +4,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -222,6 +223,22 @@ class TestJsonInterchange:
         assert "product_tolerance" not in payload
         back = FactorizationCertificate.from_json(json.loads(json.dumps(payload)))
         assert back == cert
+
+    def test_public_constructors_turn_entries_into_floats(self):
+        # Solvers build certificates through a private constructor that
+        # skips this conversion; the public ones keep it.
+        cert = FactorizationCertificate(
+            u=[1, Fraction(1, 3)], v=(2, Fraction(-3, 4)), radius_u=1.0, radius_v=1.0
+        )
+        assert repr(cert.u) == repr((1.0, 1 / 3))
+        assert repr(cert.v) == repr((2.0, -0.75))
+        assert repr(cert.transposed().v) == repr(cert.u)
+        back = FactorizationCertificate.from_json(
+            {"u": [1, 2], "v": [3, 4], "radius_u": 1, "radius_v": 1, "strict_v": True}
+        )
+        assert repr(back.u + back.v) == repr((1.0, 2.0, 3.0, 4.0))
+        with pytest.raises(ValueError, match="factor pair lengths differ"):
+            FactorizationCertificate(u=[1], v=[], radius_u=1.0, radius_v=1.0)
 
     def test_stale_keys_are_ignored(self):
         # older files carry a certificate product_tolerance, a space "units"
