@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .instances import json_fields, json_floats
+
 __all__ = ["FactorizationCertificate"]
 
 
@@ -85,11 +87,9 @@ class FactorizationCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "FactorizationCertificate":
-        return cls(
-            u=tuple(data["u"]),
-            v=tuple(data["v"]),
-            radius_u=float(data["radius_u"]),
-            radius_v=float(data["radius_v"]),
-            strict_u=bool(data.get("strict_u", True)),
-            strict_v=bool(data["strict_v"]),
+        u, v, radius_u, radius_v, strict_v = json_fields(
+            data, "certificate", u=json_floats, v=json_floats,
+            radius_u=float, radius_v=float, strict_v=bool,
         )
+        strict_u = bool(data.get("strict_u", True))
+        return cls(u, v, radius_u, radius_v, strict_u, strict_v)

@@ -18,7 +18,8 @@ from .certificates import FactorizationCertificate
 from .countable import factor_countable
 from .errors import FeasibilityError
 from .generate import InstanceSpec, gen_instance
-from .instances import LpInstance, SeqInstance, instance_from_json, load_instance
+from .instances import LpInstance, SeqInstance, instance_from_json, json_object
+from .instances import load_instance
 from .lp import factor_general
 from .scalar import ScalarBox, factor_scalar
 from .sequences import STRATEGIES, factor_seq
@@ -39,9 +40,9 @@ def _emit(payload: dict, path: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json_object(json.load(fh), what)
 
 
 def _cmd_lemma1(args) -> int:
@@ -56,7 +57,7 @@ def _cmd_lemma1(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    data = _load_json(args.instance)
+    data = _load_json(args.instance, "instance")
     if args.p is not None:
         data["p"] = "inf" if args.p == "inf" else float(args.p)
     if args.eps is not None:
@@ -78,7 +79,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_factor_seq(args) -> int:
-    data = _load_json(args.instance)
+    data = _load_json(args.instance, "instance")
     if args.eps is not None:
         data["eps"] = args.eps
     if "eps" not in data:
@@ -96,7 +97,7 @@ def _cmd_factor_seq(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = load_instance(args.instance)
-    cert = FactorizationCertificate.from_json(_load_json(args.certificate))
+    cert = FactorizationCertificate.from_json(_load_json(args.certificate, "certificate"))
     report = verify_certificate(instance, cert)
     if args.json:
         _emit(report.to_json(), None)

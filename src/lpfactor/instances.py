@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from operator import and_, mul, sub, truth
 from typing import Union
 
 from .measure import INFINITE, Exponent, MeasureSpace, SimpleFunction
-from .measure import check_eps, fsum_or_inf, l1_defect
+from .measure import all_finite, check_eps, defect_bound, fsum_or_inf, l1_defect
 
 __all__ = [
     "LpInstance",
@@ -28,6 +27,57 @@ __all__ = [
 ]
 
 
+def json_object(data, what: str) -> dict:
+    """``data``, parsed JSON describing ``what``; ValueError unless an object."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    return data
+
+
+def json_fields(data, what: str, **convert) -> list:
+    """The values of the JSON object ``data`` at the keys of ``convert``,
+    each passed through its converter.
+
+    Raises ValueError naming the key that is missing or whose value has
+    the wrong shape for its converter.
+    """
+    json_object(data, what)
+    values = []
+    for key, to_value in convert.items():
+        if key not in data:
+            raise ValueError(f"{what} lacks {key!r}")
+        try:
+            values.append(to_value(data[key]))
+        except TypeError:
+            raise ValueError(f"{what} {key!r} has the wrong shape") from None
+    return values
+
+
+def json_floats(values) -> tuple:
+    """A JSON list of numbers as a tuple of floats; TypeError for another shape."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError
+    return tuple(map(float, values))
+
+
+def finite_prefixes(*prefixes) -> tuple:
+    """The sequences as tuples of floats; ValueError unless every entry is finite."""
+    prefixes = tuple(tuple(map(float, s)) for s in prefixes)
+    if not all(map(all_finite, prefixes)):
+        raise ValueError("coefficients must be finite reals")
+    return prefixes
+
+
+def zero_pad(*prefixes) -> tuple:
+    """The prefixes as tuples, each extended with zeros to the longest length.
+
+    A sequence is a finite prefix with an implicit all-zero tail, so the
+    padding changes no sequence.
+    """
+    n = max(map(len, prefixes))
+    return tuple(tuple(s) + (0.0,) * (n - len(s)) for s in prefixes)
+
+
 def space_to_json(space: MeasureSpace) -> dict:
     return {
         "atoms": [{"measure": "inf" if math.isinf(m) else m} for m in space.measures]
@@ -36,10 +86,9 @@ def space_to_json(space: MeasureSpace) -> dict:
 
 def space_from_json(data: dict) -> MeasureSpace:
     """The space of ``space_to_json``; other keys, such as atom ids, are ignored."""
-    return MeasureSpace(
-        INFINITE if entry["measure"] == "inf" else float(entry["measure"])
-        for entry in data["atoms"]
-    )
+    (atoms,) = json_fields(data, "space", atoms=list)
+    measure = lambda m: INFINITE if m == "inf" else float(m)
+    return MeasureSpace(json_fields(atom, "atom", measure=measure)[0] for atom in atoms)
 
 
 @dataclass(frozen=True)
@@ -51,6 +100,8 @@ class LpInstance:
     eps: float
 
     def __post_init__(self):
+        if not isinstance(self.p, Exponent):
+            object.__setattr__(self, "p", Exponent(self.p))
         check_eps(self.eps)
         if not (self.f.space == self.g.space == self.h.space):
             raise ValueError("f, g, h must share one measure space")
@@ -68,7 +119,7 @@ class LpInstance:
         return l1_defect(defects, measures, mask)
 
     def feasibility_bound(self) -> float:
-        return (self.eps / 2.0) * (self.eps / 2.0)
+        return defect_bound(self.eps)
 
     def to_json(self) -> dict:
         return {
@@ -83,14 +134,11 @@ class LpInstance:
 
     @classmethod
     def from_json(cls, data: dict) -> "LpInstance":
-        space = space_from_json(data["space"])
-        return cls(
-            f=SimpleFunction(space, tuple(data["f"])),
-            g=SimpleFunction(space, tuple(data["g"])),
-            h=SimpleFunction(space, tuple(data["h"])),
-            p=Exponent(data["p"]),
-            eps=float(data["eps"]),
+        space, *fgh, p, eps = json_fields(
+            data, "LP instance", space=space_from_json, f=json_floats,
+            g=json_floats, h=json_floats, p=Exponent, eps=float,
         )
+        return cls(*(SimpleFunction(space, c) for c in fgh), p, eps)
 
 
 @dataclass(frozen=True)
@@ -102,22 +150,18 @@ class SeqInstance:
 
     def __post_init__(self):
         check_eps(self.eps)
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        if not all(map(math.isfinite, chain(self.x, self.y, self.z))):
-            raise ValueError("coefficients must be finite reals")
+        for name, s in zip("xyz", finite_prefixes(self.x, self.y, self.z)):
+            object.__setattr__(self, name, s)
 
     def padded(self) -> tuple:
-        n = max(len(self.x), len(self.y), len(self.z))
-        pad = lambda s: s + (0.0,) * (n - len(s))
-        return pad(self.x), pad(self.y), pad(self.z)
+        return zero_pad(self.x, self.y, self.z)
 
     def defect(self) -> float:
         x, y, z = self.padded()
         return fsum_or_inf(map(abs, map(sub, z, map(mul, x, y))))
 
     def feasibility_bound(self) -> float:
-        return (self.eps / 4.0) * (self.eps / 4.0)
+        return defect_bound(self.eps / 2.0)  # eps^2/16: L_1 x L_oo at eps/2
 
     def to_json(self) -> dict:
         return {
@@ -130,19 +174,17 @@ class SeqInstance:
 
     @classmethod
     def from_json(cls, data: dict) -> "SeqInstance":
-        return cls(
-            x=tuple(data["x"]),
-            y=tuple(data["y"]),
-            z=tuple(data["z"]),
-            eps=float(data["eps"]),
-        )
+        return cls(*json_fields(
+            data, "sequence instance", x=json_floats, y=json_floats,
+            z=json_floats, eps=float,
+        ))
 
 
 Instance = Union[LpInstance, SeqInstance]
 
 
 def instance_from_json(data: dict) -> Instance:
-    kind = data.get("kind", "lp" if "space" in data else "seq")
+    kind = json_object(data, "instance").get("kind", "lp" if "space" in data else "seq")
     if kind == "lp":
         return LpInstance.from_json(data)
     if kind == "seq":

@@ -60,6 +60,7 @@ from .measure import (
     SimpleFunction,
     check_eps,
     conjugate,
+    defect_bound,
     fsum_or_inf,
     l1_defect,
     norm,  # noqa: F401  (bench/spans.py traces calls through this name)
@@ -148,7 +149,7 @@ def select_params(
     if not isinstance(p, Exponent):
         p = Exponent(p)
     check_eps(eps)
-    bound = (eps / 2.0) * (eps / 2.0)
+    bound = defect_bound(eps)
     if not defect < bound:
         raise FeasibilityError(defect, bound, context="parameter selection")
     if not m > 0:  # NaN too
@@ -470,7 +471,7 @@ def _general(fs, gs, hs, space, p, eps):
 
     # Inner radius and tail budget: midpoint of (2 sqrt(defect), eps), then
     # half of gamma's admissible supremum (eps - delta)/2.
-    bound = (eps / 2.0) * (eps / 2.0)
+    bound = defect_bound(eps)
     delta = (2.0 * math.sqrt(defect) + eps) / 2.0
     guard = 0
     while not defect < delta * delta / 4.0:

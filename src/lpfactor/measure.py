@@ -78,6 +78,14 @@ def check_eps(eps: float) -> None:
         raise ValueError("eps must be positive and finite")
 
 
+def defect_bound(eps: float) -> float:
+    """eps^2/4, the bound ||h - fg||_1 stays strictly below at radius eps.
+
+    l1 x c0 at eps is L_1 x L_oo at eps/2, so its eps^2/16 is this at eps/2.
+    """
+    return (eps / 2.0) * (eps / 2.0)  # eps * eps overflows before the bound
+
+
 # ---------------------------------------------------------------------------
 # Measure spaces
 # ---------------------------------------------------------------------------

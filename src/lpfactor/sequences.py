@@ -15,8 +15,11 @@ schemes are implemented:
 
 FINITE, the default, gives the sharper flat sup bound eps/2.
 
-The edge checks the scheme and eps and pads the inputs once; both schemes
-then run on bare tuples.  TAIL builds its weights and radii in C-level
+The edge checks the scheme, eps and the entries and pads the inputs once;
+both schemes then run on bare tuples.  Both decide feasibility in one place,
+``countable.split_defects`` on counting measure at eps/2, each under its
+own context, so the defect and the eps^2/16 bound are the same numbers for
+both.  TAIL keeps only its weights, lambdas and radii, built in C-level
 passes, and ``scalar._split_atoms`` runs the per-index loop on bare floats.
 An index whose float radii starve the kernel gets the checked fallback,
 against its exact rational r_k; if r_k lies below the smallest double, no
@@ -25,16 +28,16 @@ double meets it and FeasibilityError says so.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
-from operator import ge, mul, sub, truediv
+from itertools import accumulate, compress, repeat
+from operator import ge, mul, truediv
 from typing import Iterable, Sequence
 
 from .certificates import FactorizationCertificate
-from .countable import AgreementSplit, _agreement, _countable_uv
-from .errors import FeasibilityError
+from .countable import AgreementSplit, _agreement, _countable_uv, _split_record
+from .countable import split_defects
+from .instances import finite_prefixes, zero_pad
 from .measure import _L1, check_eps, fsum_or_inf
 from .scalar import _split_atoms
 from .scalar import factor_scalar  # noqa: F401  (traced here by bench/spans.py)
@@ -77,57 +80,42 @@ def tail_weights(a: Iterable[float]) -> TailWeights:
     return tw
 
 
-def _pad(x: Sequence[float], y: Sequence[float], z: Sequence[float]):
-    n = max(len(x), len(y), len(z))
-    pad = lambda s: tuple(map(float, s)) + (0.0,) * (n - len(s))
-    return pad(x), pad(y), pad(z)
-
-
-@contextmanager
 def _edge(x, y, z, eps, strategy):
-    """Check the scheme and eps, and yield the inputs padded once.
+    """Check the scheme, eps and the entries, and return the inputs padded once.
 
-    A NaN or inf entry makes the defect NaN or inf, which both schemes
-    refuse as infeasible; such a refusal leaves the edge as bad input.
     Only eps itself is checked here: FINITE's eps/2 rounds to 0 at
     eps = 5e-324, and the zero bound then refuses, as TAIL's does.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     check_eps(eps)
-    padded = _pad(x, y, z)
-    try:
-        yield padded
-    except FeasibilityError:
-        if not all(map(math.isfinite, chain(*padded))):
-            raise ValueError("coefficients must be finite reals") from None
-        raise
+    return zero_pad(*finite_prefixes(x, y, z))
 
 
 def _tail_split(xs, ys, zs, eps):
-    """TAIL's working indices, their defects, eta, lambda_k, r_k and R_k.
+    """TAIL's mask of working indices, eta, lambda_k, and its flat lists.
 
-    Flat lists in step along the working indices, as
-    ``scalar._split_atoms`` takes them.  Raises FeasibilityError unless the
-    l1 defect is strictly below eps^2/16.
+    The defect test is FINITE's, ``split_defects`` on counting measure at
+    eps/2, whose bound is eps^2/16; only the weights and radii are TAIL's
+    own.  The flat lists run in step along the working indices, as
+    ``scalar._split_atoms`` takes them: the indices, their defects, r_k and
+    R_k.  eta is the defect root 2 ||z - xy||_1^(1/2), not the defect.
     """
-    diffs = tuple(map(abs, map(sub, zs, map(mul, xs, ys))))
-    # Zero terms leave an exact sum unchanged.
-    defect = fsum_or_inf(diffs)
-    bound = (eps / 4.0) * (eps / 4.0)  # eps * eps overflows before the bound
-    if not defect < bound:  # a NaN or inf entry lands here too
-        raise FeasibilityError(defect, bound, context="sequence factorization")
-    working = list(compress(range(len(diffs)), diffs))
+    defects, outside, _ = split_defects(
+        xs, ys, zs, (1.0,) * len(xs), eps / 2.0, "sequence factorization"
+    )
+    working = list(compress(range(len(outside)), outside))
     if not working:
-        return working, [], 0.0, [], [], []
+        return outside, 0.0, [], (working, [], [], [])
 
-    shares = list(compress(diffs, diffs))
-    weights = tail_weights(diffs)
+    shares = list(compress(defects, outside))
+    weights = tail_weights(defects)
     eta = 2.0 * weights.w[0]
-    ws = list(compress(weights.w, diffs))
+    ws = list(compress(weights.w, outside))
     lambdas = list(map(truediv, shares, map(mul, repeat(eta), ws)))
     rs = list(map(mul, lambdas, repeat(eps)))
-    return working, shares, eta, lambdas, rs, list(map(mul, repeat(2.0), ws))
+    big_rs = list(map(mul, repeat(2.0), ws))
+    return outside, eta, lambdas, (working, shares, rs, big_rs)
 
 
 def seq_split(
@@ -143,16 +131,10 @@ def seq_split(
     eps/2.  Raises FeasibilityError unless the l1 defect is strictly below
     eps^2/16.
     """
-    with _edge(x, y, z, eps, strategy) as (xs, ys, zs):
-        if strategy == "finite":
-            return _agreement(xs, ys, zs, (1.0,) * len(xs), _L1, eps / 2.0)
-        working, _, eta, lambdas, rs, big_rs = _tail_split(xs, ys, zs, eps)
-    return AgreementSplit(
-        agree=frozenset(range(len(xs))).difference(working),
-        eta=eta,
-        lambdas=dict(zip(working, lambdas)),
-        radii=dict(zip(working, zip(rs, big_rs))),
-    )
+    xs, ys, zs = _edge(x, y, z, eps, strategy)
+    if strategy == "finite":
+        return _agreement(xs, ys, zs, (1.0,) * len(xs), _L1, eps / 2.0)
+    return _split_record(*_tail_split(xs, ys, zs, eps))
 
 
 def factor_seq(
@@ -171,21 +153,19 @@ def factor_seq(
     shrinking radii, whose first value is the defect root
     eta = 2 ||z - xy||_1^(1/2).
     """
-    with _edge(x, y, z, eps, strategy) as (xs, ys, zs):
-        if strategy == "finite":
-            u, v = _countable_uv(xs, ys, zs, (1.0,) * len(xs), _L1, eps / 2.0)
-            # Float lists of the padded length, as in factor_countable.
-            return FactorizationCertificate._trusted(u, v, eps, eps)
-        working, shares, eta, _, rs, big_rs = _tail_split(xs, ys, zs, eps)
-        u = list(xs)
-        v = list(ys)
+    xs, ys, zs = _edge(x, y, z, eps, strategy)
+    if strategy == "finite":
+        u, v = _countable_uv(xs, ys, zs, (1.0,) * len(xs), _L1, eps / 2.0)
+        # Float lists of the padded length, as in factor_countable.
+        return FactorizationCertificate._trusted(u, v, eps, eps)
+    _, eta, _, atoms = _tail_split(xs, ys, zs, eps)
+    u = list(xs)
+    v = list(ys)
 
-        def exact_radii(d, big_r):  # r_k = d_k / (eta w_k) * eps, with w_k = R_k / 2
-            r = Fraction(d) * Fraction(eps) / Fraction(eta)
-            return 2 * r / Fraction(big_r), Fraction(big_r)
+    def exact_radii(d, big_r):  # r_k = d_k / (eta w_k) * eps, with w_k = R_k / 2
+        r = Fraction(d) * Fraction(eps) / Fraction(eta)
+        return 2 * r / Fraction(big_r), Fraction(big_r)
 
-        _split_atoms(
-            xs, ys, zs, working, shares, rs, big_rs, exact_radii, "sequence index", u, v
-        )
+    _split_atoms(xs, ys, zs, *atoms, exact_radii, "sequence index", u, v)
     # u and v: copies of the padded float tuples, rewritten by the kernel.
     return FactorizationCertificate._trusted(u, v, eps, eps)

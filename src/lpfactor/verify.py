@@ -17,7 +17,7 @@ from operator import sub
 from typing import Union
 
 from .certificates import FactorizationCertificate
-from .instances import LpInstance, SeqInstance
+from .instances import LpInstance, SeqInstance, zero_pad
 from .measure import (
     INFINITE,
     SimpleFunction,
@@ -113,10 +113,7 @@ def _verify_seq(instance: SeqInstance, certificate: FactorizationCertificate):
     xs, ys, zs = instance.padded()
     if len(certificate.u) < len(xs):
         raise ValueError("certificate is shorter than the instance prefix")
-    m = max(len(xs), len(certificate.u))
-    ext = lambda s: tuple(s) + (0.0,) * (m - len(s))
-    xs, ys, zs = ext(xs), ext(ys), ext(zs)
-    cu, cv = ext(certificate.u), ext(certificate.v)
+    xs, ys, zs, cu, cv = zero_pad(xs, ys, zs, certificate.u, certificate.v)
     prod_err = _product_error(cu, cv, zs)
     dist_u = fsum_or_inf(map(abs, map(sub, cu, xs)))
     dist_v = max(map(abs, map(sub, cv, ys)), default=0.0)

@@ -265,6 +265,56 @@ class TestPipelineFiles:
             assert run(capsys, "factor", "--instance", str(inst)) == (0, out, "")
 
     @pytest.mark.parametrize(
+        "command, instance, certificate, message",
+        [
+            (
+                ["factor"],
+                {k: v for k, v in LP_WITHOUT_P.items() if k != "f"} | {"p": 2},
+                None,
+                "LP instance lacks 'f'",
+            ),
+            (["factor", "--p", "2"], [LP_WITHOUT_P], None, "instance must be a JSON object, not list"),
+            (["factor-seq"], [], None, "instance must be a JSON object, not list"),
+            (
+                ["factor"],
+                {**LP_WITHOUT_P, "p": 2, "f": 1.0},
+                None,
+                "LP instance 'f' has the wrong shape",
+            ),
+            (
+                ["factor"],
+                {**LP_WITHOUT_P, "p": 2, "space": {"atoms": [1.0, "inf"]}},
+                None,
+                "atom must be a JSON object, not float",
+            ),
+            (["verify"], [1.0], {"u": [1.0]}, "instance must be a JSON object, not list"),
+            (
+                ["verify"],
+                {"kind": "seq", "x": [1], "y": [1], "z": [1.01], "eps": 1.0},
+                {"u": [1.0], "v": [1.01], "radius_u": 1.0, "radius_v": 1.0},
+                "certificate lacks 'strict_v'",
+            ),
+            (
+                ["verify"],
+                {"kind": "seq", "x": [1], "y": [1], "z": [1.01], "eps": 1.0},
+                [1.0],
+                "certificate must be a JSON object, not list",
+            ),
+        ],
+    )
+    def test_malformed_json_is_bad_input(
+        self, tmp_path, capsys, command, instance, certificate, message
+    ):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(instance))
+        argv = [*command, "--instance", str(inst)]
+        if certificate is not None:
+            cert = tmp_path / "cert.json"
+            cert.write_text(json.dumps(certificate))
+            argv += ["--certificate", str(cert)]
+        assert run(capsys, *argv) == (1, "", f"bad input: {message}\n")
+
+    @pytest.mark.parametrize(
         "command, instance",
         [
             (

@@ -3,8 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpfactor import scalar
+from lpfactor.countable import split_defects
 from lpfactor import (
     INFINITE,
     Exponent,
@@ -340,3 +343,63 @@ class TestProperties:
             cert = factor_countable(f, g, h, p, 1.0)
             instance = LpInstance(f=f, g=g, h=h, p=Exponent(p), eps=1.0)
             assert verify_certificate(instance, cert).passed
+
+
+def reference_split_defects(fs, gs, hs, measures, eps):
+    """split_defects as first written: the masked sum on every space.
+
+    Returns (defects, mask, eta), or the (defect, bound) it refuses with.
+    """
+    defects = [abs(z - x * y) for x, y, z in zip(fs, gs, hs)]
+    outside = [d != 0.0 and mu != 0.0 for d, mu in zip(defects, measures)]
+    shares = [d * mu for d, mu, o in zip(defects, measures, outside) if o]
+    try:
+        eta = math.fsum(shares)
+    except OverflowError:
+        eta = math.inf
+    bound = (eps / 2.0) * (eps / 2.0)
+    return (defects, outside, eta) if eta < bound else (eta, bound)
+
+
+def split_outcome(fs, gs, hs, measures, eps):
+    try:
+        return split_defects(fs, gs, hs, measures, eps, "countable factorization")
+    except FeasibilityError as err:
+        return err.defect, err.bound
+
+
+# Magnitudes up to 1e300 make products and shares overflow.
+_floats = st.floats(min_value=-1e300, max_value=1e300)
+_positive = st.floats(min_value=5e-324, max_value=1e300)
+_atoms = st.tuples(_floats, _floats, _floats)
+
+
+class TestSplitDefectsMatchesItsFirstForm:
+    """Both paths of ``split_defects`` (no null and no INFINITE atom, or
+    some) give repr-identical defects, mask and eta, or the same refusal."""
+
+    @pytest.mark.parametrize(
+        "measure",
+        [_positive, st.one_of(_positive, st.sampled_from([0.0, -0.0, INFINITE]))],
+        ids=["positive-finite", "null-and-infinite"],
+    )
+    @given(data=st.data(), eps=st.floats(min_value=5e-324, max_value=1.7e308))
+    @settings(max_examples=250)
+    def test_random_spaces(self, measure, data, eps):
+        atoms = data.draw(st.lists(st.tuples(_atoms, measure), max_size=12))
+        measures = tuple(mu for _, mu in atoms)
+        fs, gs, hs = (tuple(c[i] for c, _ in atoms) for i in range(3))
+        got = split_outcome(fs, gs, hs, measures, eps)
+        assert repr(got) == repr(reference_split_defects(fs, gs, hs, measures, eps))
+
+    @pytest.mark.parametrize(
+        "measures",
+        [(1.0, 1.0, 1.0), (1.7e308, 1.7e308, 1.0), (1.0, -0.0, 2.0), (0.5, INFINITE, 0.0)],
+    )
+    def test_edges(self, measures):
+        # an overflowing product, an exact atom, and a subnormal share; the
+        # second space's measures overflow their sum, so it takes the mask
+        fs, gs, hs = (1e200, 1.0, 5e-324), (1e200, 2.0, 1.0), (0.0, 2.0, 0.0)
+        for eps in (1e-300, 1.0, 1e300):
+            got = split_outcome(fs, gs, hs, measures, eps)
+            assert repr(got) == repr(reference_split_defects(fs, gs, hs, measures, eps))

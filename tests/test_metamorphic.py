@@ -9,9 +9,18 @@ bit, and a refusal must stay a refusal of the same type.  One sum is
 ordered: ``truncate_support`` adds the tail shares in index order within a
 level, so a tail within a few ulps of its budget could pick another level
 after a permutation; none of the seeded draws here comes near that.
+
+Atom refinement.  Splitting an atom of measure mu into two atoms of mu/2
+with the same coefficients leaves every sum that steers the construction
+unchanged: each share d mu becomes two shares d mu/2 whose exact sum is
+d mu, the radius ratios d/eta do not see the measure, and the measure
+total is the same fsum.  So both copies must get the parent's (u, v) bit
+for bit, with the same parameters.  Stated exclusion: a draw whose split
+share d mu/2 is subnormal, where halving rounds and eta may move by an ulp.
 """
 import math
 import random
+import sys
 
 import pytest
 
@@ -109,3 +118,41 @@ def test_finite_sequences_relabel_with_the_indices():
         assert _outcome(factor_seq, *permuted, eps, "finite") == _relabelled(before, perm)
         refused += isinstance(before, str)
     assert 0 < refused < DRAWS
+
+
+def _refined(inst, k):
+    """(f, g, h) with atom k split into two atoms of half its measure."""
+    measures = list(inst.space.measures)
+    measures[k : k + 1] = [measures[k] / 2.0] * 2
+    space = MeasureSpace(tuple(measures))
+    return tuple(
+        SimpleFunction(space, fn.coefficients[: k + 1] + fn.coefficients[k:])
+        for fn in (inst.f, inst.g, inst.h)
+    )
+
+
+def _doubled(outcome, k):
+    """What the outcome of the refined instance must be."""
+    if isinstance(outcome, str):
+        return outcome
+    u, v, flags, params = outcome
+    return u[: k + 1] + u[k:], v[: k + 1] + v[k:], flags, params
+
+
+@pytest.mark.parametrize("p", PS)
+@pytest.mark.parametrize("solve", [factor_countable, factor_general])
+def test_lp_solvers_copy_a_split_atom(solve, p):
+    refused = compared = 0
+    for inst, eps, rng in _draws("lp", p):
+        measures = inst.space.measures
+        k = rng.choice([i for i, mu in enumerate(measures) if mu > 0])
+        fs, gs, hs = inst.f.coefficients, inst.g.coefficients, inst.h.coefficients
+        share = abs(hs[k] - fs[k] * gs[k]) * (measures[k] / 2.0)
+        if 0.0 < share < sys.float_info.min:
+            continue  # the stated exclusion: a subnormal split share
+        before = _outcome(solve, inst.f, inst.g, inst.h, inst.p, eps)
+        after = _outcome(solve, *_refined(inst, k), inst.p, eps)
+        assert after == _doubled(before, k)
+        refused += isinstance(before, str)
+        compared += 1
+    assert 0 < refused < compared  # both kinds of outcome were compared

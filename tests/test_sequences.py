@@ -19,6 +19,7 @@ from lpfactor import (
     tail_weights,
     verify_certificate,
 )
+from lpfactor.measure import defect_bound
 from test_fuzz import hostile_seq
 
 
@@ -391,3 +392,59 @@ class TestFiniteIsCountableAtHalfTheRadius:
             lp_instance = counting_instance(x, y, z, eps)
             lp = outcome_bits(agreement_split, split_fields, *lp_instance)
             assert seq == lp, (x, y, z, eps)
+
+
+RULE_EPS = (5e-324, 1e-310, 2.0**-1021, 1.0, 1e154, 1e300)
+
+
+def near_bound_draw(rng, eps):
+    """x, y, z with ||z - xy||_1 within a few ulps of eps^2/16 (or 1e308,
+    when that bound is inf), or, one time in eight, an overflowing defect."""
+    n = rng.randint(1, 5)
+    x = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+    y = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+    target = min(defect_bound(eps / 2.0), 1e308) * (1.0 + rng.randint(-3, 3) * 2.0**-52)
+    weights = [rng.random() for _ in range(n)]
+    total = math.fsum(weights)
+    z = [a * b + math.copysign(target * w / total, w - 0.5) for a, b, w in zip(x, y, weights)]
+    if rng.random() < 0.125:
+        x[0], y[0], z[0] = 1e200, -1e200, 0.0
+    return x, y, z
+
+
+class TestOneFeasibilityRule:
+    """FINITE and TAIL decide feasibility by one split at eps/2."""
+
+    @pytest.mark.parametrize("eps", RULE_EPS)
+    def test_bound_at_half_the_radius_is_eps_squared_over_16(self, eps):
+        quarter = eps / 4.0
+        assert defect_bound(eps / 2.0).hex() == (quarter * quarter).hex()
+        assert SeqInstance((1.0,), (1.0,), (1.0,), eps).feasibility_bound() == quarter * quarter
+
+    @pytest.mark.parametrize("eps", RULE_EPS)
+    def test_finite_and_tail_refuse_alike(self, eps):
+        rng = random.Random(f"one rule:{eps!r}")
+        refused = 0
+        for _ in range(150):
+            x, y, z = near_bound_draw(rng, eps)
+            instance = SeqInstance(x=x, y=y, z=z, eps=eps)
+            outcomes = set()
+            for strategy, context in (
+                ("finite", "countable factorization"),
+                ("tail", "sequence factorization"),
+            ):
+                for solve in (factor_seq, seq_split):
+                    try:
+                        solve(x, y, z, eps, strategy)
+                    except FeasibilityError as err:
+                        assert err.context == context
+                        assert err.defect == instance.defect()
+                        assert err.bound == instance.feasibility_bound()
+                        outcomes.add((err.defect.hex(), err.bound.hex()))
+                    else:
+                        outcomes.add(None)
+            assert len(outcomes) == 1, (x, y, z)
+            refused += outcomes != {None}
+        assert refused > 0
+        if eps >= 1.0:
+            assert refused < 150  # feasible draws were compared too

@@ -240,6 +240,13 @@ class TestJsonInterchange:
         with pytest.raises(ValueError, match="factor pair lengths differ"):
             FactorizationCertificate(u=[1], v=[], radius_u=1.0, radius_v=1.0)
 
+    def test_lp_instance_makes_p_an_exponent(self):
+        inst = single_atom_instance()
+        plain = LpInstance(inst.f, inst.g, inst.h, 2, inst.eps)
+        assert isinstance(plain.p, Exponent)
+        assert plain == inst
+        assert plain.to_json() == inst.to_json()
+
     def test_stale_keys_are_ignored(self):
         # older files carry a certificate product_tolerance, a space "units"
         # and an "id" per atom
@@ -428,6 +435,12 @@ def _instance_on_two_spaces():
     return LpInstance(f, g, f, Exponent(2), 1.0)
 
 
+def _lp_payload_without(key):
+    payload = single_atom_instance().to_json()
+    del payload[key]
+    return payload
+
+
 def _one_atom_certificate():
     return FactorizationCertificate(u=(1.0,), v=(1.0,), radius_u=1.0, radius_v=1.0)
 
@@ -491,6 +504,30 @@ def _spec(**changes):
         (
             lambda: SeqInstance(x=(1.0, math.nan), y=(1.0,), z=(1.0,), eps=1.0),
             "coefficients must be finite reals",
+        ),
+        (lambda: replace(single_atom_instance(), p=0.5), "exponent must lie in"),
+        (lambda: lpfactor.instance_from_json([1.0]), "instance must be a JSON object"),
+        (
+            lambda: LpInstance.from_json(_lp_payload_without("f")),
+            "LP instance lacks 'f'",
+        ),
+        (
+            lambda: LpInstance.from_json({**single_atom_instance().to_json(), "p": [2]}),
+            "LP instance 'p' has the wrong shape",
+        ),
+        (
+            lambda: SeqInstance.from_json({"x": 1.0, "y": [1], "z": [1], "eps": 1.0}),
+            "sequence instance 'x' has the wrong shape",
+        ),
+        (
+            lambda: lpfactor.space_from_json({"atoms": [2.0]}),
+            "atom must be a JSON object, not float",
+        ),
+        (
+            lambda: FactorizationCertificate.from_json(
+                {"u": [1.0], "v": [1.0], "radius_u": 1.0, "radius_v": 1.0}
+            ),
+            "certificate lacks 'strict_v'",
         ),
     ],
 )
