@@ -18,7 +18,7 @@ from .certificates import FactorizationCertificate
 from .countable import factor_countable
 from .errors import FeasibilityError
 from .generate import InstanceSpec, gen_instance
-from .instances import LpInstance, SeqInstance, instance_from_json, json_object
+from .instances import LpInstance, SeqInstance, instance_from_json, json_fields
 from .instances import load_instance
 from .lp import factor_general
 from .scalar import ScalarBox, factor_scalar
@@ -42,7 +42,9 @@ def _emit(payload: dict, path: Optional[str]) -> None:
 
 def _load_json(path: str, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json_object(json.load(fh), what)
+        data = json.load(fh)
+    json_fields(data, what)  # ValueError unless an object
+    return data
 
 
 def _cmd_lemma1(args) -> int:

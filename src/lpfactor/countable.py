@@ -14,9 +14,8 @@ scalar kernel does the rest.
 With counting measure (all atom measures 1) this specializes to the
 sequence spaces l_p x l_q.  At p = 1 and radius eps/2 it is the FINITE
 l1 x c0 scheme: ``sequences`` calls ``_agreement`` and ``_countable_uv``
-on its padded tuples, since eps^2/16 = (eps/2)^2/4.  ``split_defects`` is
-the one feasibility test of every solver, TAIL included: it computes the
-per-atom defects and eta and refuses unless eta < ``defect_bound(eps)``.
+on its padded tuples, since eps^2/16 = (eps/2)^2/4.  TAIL, too, decides
+feasibility by ``split_defects``, the one test of every solver.
 
 Every L_p solver enters through one checked edge, ``_lp_inputs``: a
 positive finite eps, f, g and h on one space, and membership (f in L_p, g
@@ -53,7 +52,6 @@ from .measure import (
     check_eps,
     conjugate,
     defect_bound,
-    fsum_or_inf,
     l1_defect,
     norm,  # noqa: F401  (bench/spans.py traces calls through this name)
     norm_is_finite,
@@ -112,21 +110,16 @@ def _solve_checked(body, f, g, h, p, eps) -> FactorizationCertificate:
 def split_defects(fs, gs, hs, measures, eps: float, context: str):
     """The per-atom defects, the mask of atoms outside E, and eta.
 
-    The one feasibility test of every solver, L_p and both sequence
-    schemes.  An atom lies outside E when it has a nonzero defect
-    |z_n - x_n y_n| and a nonzero measure; eta = ||h - fg||_1 is
-    ``l1_defect`` over those atoms.  Raises FeasibilityError, naming
-    ``context``, unless eta < ``defect_bound(eps)``.
+    The one feasibility test of every solver.  An atom lies outside E when
+    it has a nonzero defect |z_n - x_n y_n| and a nonzero measure; eta =
+    ||h - fg||_1 is ``l1_defect`` over those atoms.  Raises
+    FeasibilityError, naming ``context``, unless eta < ``defect_bound(eps)``.
     """
     defects = [abs(z - x * y) for x, y, z in zip(fs, gs, hs)]
-    if math.isfinite(sum(measures)) and all(measures):
-        # No null and no INFINITE atom, so no 0 * inf: the zero terms
-        # leave the exact sum unchanged.
-        outside = list(map(truth, defects))
-        eta = fsum_or_inf(map(mul, defects, measures))
-    else:
-        outside = [d != 0.0 and mu != 0.0 for d, mu in zip(defects, measures)]
-        eta = l1_defect(defects, measures, outside)
+    outside = list(map(truth, defects))
+    for i in _positions(measures, 0.0):  # a null atom lies in E
+        outside[i] = False
+    eta = l1_defect(defects, measures, outside)
     bound = defect_bound(eps)
     if not eta < bound:
         raise FeasibilityError(eta, bound, context=context)
@@ -174,8 +167,8 @@ def check_memberships(fs, gs, hs, measures, p: Exponent) -> None:
 def _tuple_split(fs, gs, hs, measures, p: Exponent, eps: float):
     """The split of a checked instance with finite p, on bare tuples.
 
-    Returns the mask of atoms outside E, eta, its positive scale, and the
-    four flat sequences over the atoms outside E, in step, that
+    Returns the mask of atoms outside E, eta, its positive scale, and then
+    the four flat sequences over the atoms outside E, in step, that
     ``scalar._split_atoms`` takes: their indices, their defects, r_i and
     R_i.  Raises FeasibilityError unless eta < eps^2/4.
     """
@@ -198,7 +191,7 @@ def _tuple_split(fs, gs, hs, measures, p: Exponent, eps: float):
         big_rs = list(map(mul, repeat(eps), map(pow, ratios, repeat(inv_q))))
         ratios = map(pow, ratios, repeat(p.reciprocal()))
     rs = list(map(mul, repeat(eps), ratios))
-    return outside, eta, scale, (working, working_defects, rs, big_rs)
+    return outside, eta, scale, working, working_defects, rs, big_rs
 
 
 def agreement_split(
@@ -222,18 +215,18 @@ def agreement_split(
 
 def _agreement(fs, gs, hs, measures, p: Exponent, eps: float) -> AgreementSplit:
     """``agreement_split`` at finite p on checked tuples."""
-    outside, eta, _, atoms = _tuple_split(fs, gs, hs, measures, p, eps)
+    split = _tuple_split(fs, gs, hs, measures, p, eps)
+    outside, eta, _, working, defects, rs, big_rs = split
     if eta > 0:  # lambda_k = |z_k - x_k y_k| mu(A_k) / eta
-        shares = map(mul, atoms[1], compress(measures, outside))
+        shares = map(mul, defects, compress(measures, outside))
         lambdas = map(truediv, shares, repeat(eta))
     else:
         lambdas = repeat(0.0)
-    return _split_record(outside, eta, lambdas, atoms)
+    return _split_record(outside, eta, lambdas, working, rs, big_rs)
 
 
-def _split_record(outside, eta, lambdas, atoms) -> AgreementSplit:
-    """The record of a split; ``lambdas`` runs in step with ``atoms``."""
-    working, _, rs, big_rs = atoms
+def _split_record(outside, eta, lambdas, working, rs, big_rs) -> AgreementSplit:
+    """The record of a split; the last four run in step over the atoms outside E."""
     return AgreementSplit(
         agree=frozenset(compress(range(len(outside)), map(not_, outside))),
         eta=eta,
@@ -269,7 +262,7 @@ def _countable(fs, gs, hs, space, p: Exponent, eps: float):
 
 def _countable_uv(fs, gs, hs, measures, p: Exponent, eps: float):
     """The lists u and v of ``factor_countable`` at finite p on checked tuples."""
-    outside, _, scale, atoms = _tuple_split(fs, gs, hs, measures, p, eps)
+    outside, _, scale, *atoms = _tuple_split(fs, gs, hs, measures, p, eps)
     u, v = copy_pairs(fs, gs, hs, outside)
 
     def exact_radii(d, _):  # r = eps (d/scale)^(1/p), R = eps (d/scale)^(1/q)

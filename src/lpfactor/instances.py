@@ -27,30 +27,23 @@ __all__ = [
 ]
 
 
-def json_object(data, what: str) -> dict:
-    """``data``, parsed JSON describing ``what``; ValueError unless an object."""
+def json_fields(data, what: str, **convert) -> list:
+    """The values of ``data``, parsed JSON describing ``what``, at the keys
+    of ``convert``, each passed through its converter.
+
+    Raises ValueError unless ``data`` is an object, naming a key that is
+    missing or whose value has the wrong shape for its converter.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
-    return data
-
-
-def json_fields(data, what: str, **convert) -> list:
-    """The values of the JSON object ``data`` at the keys of ``convert``,
-    each passed through its converter.
-
-    Raises ValueError naming the key that is missing or whose value has
-    the wrong shape for its converter.
-    """
-    json_object(data, what)
-    values = []
     for key, to_value in convert.items():
         if key not in data:
             raise ValueError(f"{what} lacks {key!r}")
         try:
-            values.append(to_value(data[key]))
+            convert[key] = to_value(data[key])
         except TypeError:
             raise ValueError(f"{what} {key!r} has the wrong shape") from None
-    return values
+    return list(convert.values())
 
 
 def json_floats(values) -> tuple:
@@ -58,14 +51,6 @@ def json_floats(values) -> tuple:
     if not isinstance(values, (list, tuple)):
         raise TypeError
     return tuple(map(float, values))
-
-
-def finite_prefixes(*prefixes) -> tuple:
-    """The sequences as tuples of floats; ValueError unless every entry is finite."""
-    prefixes = tuple(tuple(map(float, s)) for s in prefixes)
-    if not all(map(all_finite, prefixes)):
-        raise ValueError("coefficients must be finite reals")
-    return prefixes
 
 
 def zero_pad(*prefixes) -> tuple:
@@ -150,8 +135,10 @@ class SeqInstance:
 
     def __post_init__(self):
         check_eps(self.eps)
-        for name, s in zip("xyz", finite_prefixes(self.x, self.y, self.z)):
-            object.__setattr__(self, name, s)
+        for name in ("x", "y", "z"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        if not all(map(all_finite, (self.x, self.y, self.z))):
+            raise ValueError("coefficients must be finite reals")
 
     def padded(self) -> tuple:
         return zero_pad(self.x, self.y, self.z)
@@ -184,7 +171,8 @@ Instance = Union[LpInstance, SeqInstance]
 
 
 def instance_from_json(data: dict) -> Instance:
-    kind = json_object(data, "instance").get("kind", "lp" if "space" in data else "seq")
+    json_fields(data, "instance")  # ValueError unless an object
+    kind = data.get("kind", "lp" if "space" in data else "seq")
     if kind == "lp":
         return LpInstance.from_json(data)
     if kind == "seq":

@@ -471,17 +471,15 @@ def _general(fs, gs, hs, space, p, eps):
 
     # Inner radius and tail budget: midpoint of (2 sqrt(defect), eps), then
     # half of gamma's admissible supremum (eps - delta)/2.
-    bound = defect_bound(eps)
     delta = (2.0 * math.sqrt(defect) + eps) / 2.0
-    guard = 0
-    while not defect < delta * delta / 4.0:
+    for _ in range(64):
+        if defect < delta * delta / 4.0:
+            break
         delta = (delta + eps) / 2.0
-        guard += 1
-        if guard > 64:
-            raise FeasibilityError(defect, bound, context="general factorization")
     gamma = (eps - delta) / 4.0
-    if not (delta < eps and gamma > 0):
-        # Float-boundary defect: no room left for a tail budget.
+    if not (defect < delta * delta / 4.0 and delta < eps and gamma > 0):
+        # Float-boundary defect: no room left for an inner radius or a tail.
+        bound = defect_bound(eps)
         raise FeasibilityError(defect, bound, context="general factorization")
 
     q = conjugate(p)

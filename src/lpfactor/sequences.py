@@ -37,8 +37,8 @@ from typing import Iterable, Sequence
 from .certificates import FactorizationCertificate
 from .countable import AgreementSplit, _agreement, _countable_uv, _split_record
 from .countable import split_defects
-from .instances import finite_prefixes, zero_pad
-from .measure import _L1, check_eps, fsum_or_inf
+from .instances import SeqInstance
+from .measure import _L1, fsum_or_inf
 from .scalar import _split_atoms
 from .scalar import factor_scalar  # noqa: F401  (traced here by bench/spans.py)
 
@@ -83,17 +83,16 @@ def tail_weights(a: Iterable[float]) -> TailWeights:
 def _edge(x, y, z, eps, strategy):
     """Check the scheme, eps and the entries, and return the inputs padded once.
 
-    Only eps itself is checked here: FINITE's eps/2 rounds to 0 at
-    eps = 5e-324, and the zero bound then refuses, as TAIL's does.
+    The entries and eps get ``SeqInstance``'s checks; eps/2 gets none:
+    it rounds to 0 at eps = 5e-324, and both schemes' zero bound refuses.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
-    check_eps(eps)
-    return zero_pad(*finite_prefixes(x, y, z))
+    return SeqInstance(x, y, z, eps).padded()
 
 
 def _tail_split(xs, ys, zs, eps):
-    """TAIL's mask of working indices, eta, lambda_k, and its flat lists.
+    """TAIL's mask of working indices, eta, lambda_k, then its flat lists.
 
     The defect test is FINITE's, ``split_defects`` on counting measure at
     eps/2, whose bound is eps^2/16; only the weights and radii are TAIL's
@@ -106,7 +105,7 @@ def _tail_split(xs, ys, zs, eps):
     )
     working = list(compress(range(len(outside)), outside))
     if not working:
-        return outside, 0.0, [], (working, [], [], [])
+        return outside, 0.0, [], working, [], [], []
 
     shares = list(compress(defects, outside))
     weights = tail_weights(defects)
@@ -115,7 +114,7 @@ def _tail_split(xs, ys, zs, eps):
     lambdas = list(map(truediv, shares, map(mul, repeat(eta), ws)))
     rs = list(map(mul, lambdas, repeat(eps)))
     big_rs = list(map(mul, repeat(2.0), ws))
-    return outside, eta, lambdas, (working, shares, rs, big_rs)
+    return outside, eta, lambdas, working, shares, rs, big_rs
 
 
 def seq_split(
@@ -134,7 +133,8 @@ def seq_split(
     xs, ys, zs = _edge(x, y, z, eps, strategy)
     if strategy == "finite":
         return _agreement(xs, ys, zs, (1.0,) * len(xs), _L1, eps / 2.0)
-    return _split_record(*_tail_split(xs, ys, zs, eps))
+    outside, eta, lambdas, working, _, rs, big_rs = _tail_split(xs, ys, zs, eps)
+    return _split_record(outside, eta, lambdas, working, rs, big_rs)
 
 
 def factor_seq(
@@ -158,7 +158,7 @@ def factor_seq(
         u, v = _countable_uv(xs, ys, zs, (1.0,) * len(xs), _L1, eps / 2.0)
         # Float lists of the padded length, as in factor_countable.
         return FactorizationCertificate._trusted(u, v, eps, eps)
-    _, eta, _, atoms = _tail_split(xs, ys, zs, eps)
+    _, eta, _, *atoms = _tail_split(xs, ys, zs, eps)
     u = list(xs)
     v = list(ys)
 

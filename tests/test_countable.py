@@ -375,8 +375,8 @@ _atoms = st.tuples(_floats, _floats, _floats)
 
 
 class TestSplitDefectsMatchesItsFirstForm:
-    """Both paths of ``split_defects`` (no null and no INFINITE atom, or
-    some) give repr-identical defects, mask and eta, or the same refusal."""
+    """``split_defects`` gives repr-identical defects, mask and eta, or the
+    same refusal, on spaces with and without null and INFINITE atoms."""
 
     @pytest.mark.parametrize(
         "measure",
@@ -397,8 +397,8 @@ class TestSplitDefectsMatchesItsFirstForm:
         [(1.0, 1.0, 1.0), (1.7e308, 1.7e308, 1.0), (1.0, -0.0, 2.0), (0.5, INFINITE, 0.0)],
     )
     def test_edges(self, measures):
-        # an overflowing product, an exact atom, and a subnormal share; the
-        # second space's measures overflow their sum, so it takes the mask
+        # an overflowing product, an exact atom, and a subnormal share, on
+        # measures whose sum overflows, a -0.0 atom and a null one
         fs, gs, hs = (1e200, 1.0, 5e-324), (1e200, 2.0, 1.0), (0.0, 2.0, 0.0)
         for eps in (1e-300, 1.0, 1e300):
             got = split_outcome(fs, gs, hs, measures, eps)
