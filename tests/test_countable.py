@@ -394,11 +394,18 @@ class TestSplitDefectsMatchesItsFirstForm:
 
     @pytest.mark.parametrize(
         "measures",
-        [(1.0, 1.0, 1.0), (1.7e308, 1.7e308, 1.0), (1.0, -0.0, 2.0), (0.5, INFINITE, 0.0)],
+        [
+            (1.0, 1.0, 1.0),
+            (1.7e308, 1.7e308, 1.0),
+            (1.0, -0.0, 2.0),
+            (0.5, INFINITE, 0.0),
+            (0.0, 1.0, 2.0),
+        ],
     )
     def test_edges(self, measures):
         # an overflowing product, an exact atom, and a subnormal share, on
-        # measures whose sum overflows, a -0.0 atom and a null one
+        # measures whose sum overflows, a -0.0 atom and null atoms; the last
+        # space hides the overflowed defect on a null atom
         fs, gs, hs = (1e200, 1.0, 5e-324), (1e200, 2.0, 1.0), (0.0, 2.0, 0.0)
         for eps in (1e-300, 1.0, 1e300):
             got = split_outcome(fs, gs, hs, measures, eps)
