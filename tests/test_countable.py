@@ -12,6 +12,7 @@ from lpfactor import (
     INFINITE,
     Exponent,
     FeasibilityError,
+    InstanceSpec,
     LpInstance,
     MeasureSpace,
     SimpleFunction,
@@ -19,6 +20,7 @@ from lpfactor import (
     factor_bounded,
     factor_countable,
     factor_general,
+    gen_instance,
     norm,
     verify_certificate,
 )
@@ -410,3 +412,60 @@ class TestSplitDefectsMatchesItsFirstForm:
         for eps in (1e-300, 1.0, 1e300):
             got = split_outcome(fs, gs, hs, measures, eps)
             assert repr(got) == repr(reference_split_defects(fs, gs, hs, measures, eps))
+
+
+# 1/p and 1/q as the split rounds them: 1/p from p's exact ratio.
+_RECIPROCALS = {1: (1.0, 0.0), 1.5: (2 / 3, 1 / 3), 2: (0.5, 0.5), 3: (1 / 3, 2 / 3)}
+
+
+def reference_agreement_split(f, g, h, p, eps):
+    """agreement_split as a per-atom loop: (sorted agree, eta, lambdas, radii)."""
+    measures = f.space.measures
+    fs, gs, hs = f.coefficients, g.coefficients, h.coefficients
+    defects = [abs(z - x * y) for x, y, z in zip(fs, gs, hs)]
+    working = [i for i, d in enumerate(defects) if d != 0.0 and measures[i] != 0.0]
+    agree = sorted(set(range(len(fs))) - set(working))
+    eta = math.fsum(defects[i] * measures[i] for i in working)
+    scale = max(eta, len(working) * 5e-324)
+    inv_p, inv_q = _RECIPROCALS[p]
+    lambdas, radii = {}, {}
+    for i in working:
+        lambdas[i] = defects[i] * measures[i] / eta if eta > 0 else 0.0
+        ratio = defects[i] / scale
+        if p == 1:
+            radii[i] = (eps * ratio, eps)
+        else:
+            radii[i] = (eps * ratio**inv_p, eps * ratio**inv_q)
+    return agree, eta, lambdas, radii
+
+
+def agreement_cases(p):
+    """Seeded draws with null and INFINITE atoms, then subnormal-share edges."""
+    rng = random.Random(4421)
+    for k in range(40):
+        spec = InstanceSpec(
+            kind="lp",
+            n=rng.randint(1, 40),
+            eps=rng.choice((0.3, 1.0, 3.5)),
+            defect_fraction=rng.uniform(0.05, 0.97),
+            seed=9000 + k,
+            p=p,
+            zero_fraction=rng.choice((0.0, 0.1, 0.5)),
+            scale_min=1.0,
+            scale_max=rng.choice((1.0, 1e3)),
+            infinite_atoms=k % 3,
+        )
+        instance = gen_instance(spec)
+        yield instance.f, instance.g, instance.h, instance.eps
+    # every share underflows, so eta is 0 while the atoms still need radii
+    yield (*build([0.5, 0.5, 1.0], [0, 0, 1], [0, 0, 1], [5e-324, 5e-324, 1]), 1.0)
+    # one share underflows beside a normal one
+    yield (*build([1e-250, 1.0], [1e-200, 1], [1.0, 1], [3e-200, 1.05]), 1.0)
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+def test_agreement_split_matches_per_atom_loop(p):
+    for f, g, h, eps in agreement_cases(p):
+        split = agreement_split(f, g, h, p, eps)
+        got = sorted(split.agree), split.eta, split.lambdas, split.radii
+        assert repr(got) == repr(reference_agreement_split(f, g, h, p, eps))
