@@ -6,12 +6,22 @@ one line per instance; a solver that refuses contributes the name of the
 exception instead.  Any change to a digest is a change to what the solvers
 emit, so a refactor or a speed-up must leave every digest as it is.
 
-To print the digests of the code as it stands:
+Each digest also has a stream, ``tests/golden/<key>.txt``: one line per
+instance with its index, its spec (the non-default ``InstanceSpec`` fields,
+or ``edge k`` for a hand-built instance) and the first 16 hex digits of the
+SHA-256 of that instance's line, or ``error:<Type>``.  A failure names the
+first instance that differs.
 
-    PYTHONPATH=src python tests/test_golden.py
+To print the digests of the code as it stands, and with ``--write`` to
+rewrite the streams as well:
+
+    PYTHONPATH=src python tests/test_golden.py [--write]
 """
+import dataclasses
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,12 +72,14 @@ GOLDEN = {
 }
 
 
-def _lp_instances(p):
+STREAMS = Path(__file__).with_name("golden")
+
+
+def _lp_specs(p):
     for k, n in enumerate(SIZES):
         for v, (infinite, scale) in enumerate(VARIANTS):
             for e, eps in enumerate(EPSILONS):
-                yield gen_instance(
-                    InstanceSpec(
+                yield InstanceSpec(
                         kind="lp",
                         n=n,
                         eps=eps,
@@ -77,7 +89,6 @@ def _lp_instances(p):
                         scale_min=scale,
                         scale_max=scale,
                         infinite_atoms=infinite,
-                    )
                 )
 
 
@@ -109,40 +120,37 @@ EDGES = (
 )
 
 
-def _large_instances():
+def _large_specs():
     """One 5000-atom instance per p, two of its atoms of INFINITE measure."""
     for k, p in enumerate(PS):
-        yield gen_instance(
-            InstanceSpec(
-                kind="lp",
-                n=5000,
-                eps=EPSILONS[k % 3],
-                defect_fraction=(0.1, 0.6, 0.97)[k % 3],
-                seed=5000 + k,
-                p=p,
-                infinite_atoms=2,
-            )
+        yield InstanceSpec(
+            kind="lp",
+            n=5000,
+            eps=EPSILONS[k % 3],
+            defect_fraction=(0.1, 0.6, 0.97)[k % 3],
+            seed=5000 + k,
+            p=p,
+            infinite_atoms=2,
         )
 
 
-def _edge_instances(p):
-    for measures, f, g, h, eps in EDGES:
-        space = MeasureSpace(measures)
-        yield LpInstance(
-            SimpleFunction(space, tuple(f)),
-            SimpleFunction(space, tuple(g)),
-            SimpleFunction(space, tuple(h)),
-            Exponent(p),
-            eps,
-        )
+def _edge_instance(edge, p):
+    measures, f, g, h, eps = edge
+    space = MeasureSpace(measures)
+    return LpInstance(
+        SimpleFunction(space, tuple(f)),
+        SimpleFunction(space, tuple(g)),
+        SimpleFunction(space, tuple(h)),
+        Exponent(p),
+        eps,
+    )
 
 
-def _seq_instances():
+def _seq_specs():
     for k, n in enumerate(SIZES):
         for v, scale in enumerate((1.0, 1e6)):
             for e, eps in enumerate(EPSILONS):
-                yield gen_instance(
-                    InstanceSpec(
+                yield InstanceSpec(
                         kind="seq",
                         n=n,
                         eps=eps,
@@ -150,8 +158,16 @@ def _seq_instances():
                         seed=1000 * k + 100 * v + e,
                         scale_min=scale,
                         scale_max=scale,
-                    )
                 )
+
+
+def _compact(spec: InstanceSpec) -> str:
+    """The spec's fields that differ from their defaults, as name=value."""
+    return " ".join(
+        f"{field.name}={getattr(spec, field.name)}"
+        for field in dataclasses.fields(spec)
+        if getattr(spec, field.name) != field.default
+    )
 
 
 def _line(solve) -> bytes:
@@ -167,34 +183,61 @@ def _line(solve) -> bytes:
     ).encode()
 
 
-def digest(key: str) -> str:
+def _cases(key: str):
+    """(spec text, instance line) for each instance of a digest, in order."""
     solver, arg = key.split("/")
-    sha = hashlib.sha256()
     if solver == "factor_seq":
-        strategy = arg
-        for inst in _seq_instances():
-            sha.update(
-                _line(lambda: factor_seq(inst.x, inst.y, inst.z, inst.eps, strategy))
+        for spec in _seq_specs():
+            inst = gen_instance(spec)
+            yield _compact(spec), _line(
+                lambda: factor_seq(inst.x, inst.y, inst.z, inst.eps, arg)
             )
-    elif arg == "n=5000":
-        for inst in _large_instances():
-            sha.update(
-                _line(lambda: factor_general(inst.f, inst.g, inst.h, inst.p, inst.eps))
-            )
+        return
+    if arg == "n=5000":
+        solve, specs, edges = factor_general, _large_specs(), ()
     else:
         solve = LP_SOLVERS[solver]
         p = arg.split("=")[1]
         p = p if p == "inf" else float(p)
-        for inst in (*_lp_instances(p), *_edge_instances(p)):
-            sha.update(_line(lambda: solve(inst.f, inst.g, inst.h, inst.p, inst.eps)))
-    return sha.hexdigest()
+        specs, edges = _lp_specs(p), EDGES
+    cases = [(_compact(spec), gen_instance(spec)) for spec in specs]
+    cases += [(f"edge {k}", _edge_instance(edge, p)) for k, edge in enumerate(edges)]
+    for text, inst in cases:
+        yield text, _line(lambda: solve(inst.f, inst.g, inst.h, inst.p, inst.eps))
+
+
+def stream(key: str):
+    """The digest of a key and its stream lines."""
+    sha = hashlib.sha256()
+    lines = []
+    for i, (text, line) in enumerate(_cases(key)):
+        sha.update(line)
+        short = hashlib.sha256(line).hexdigest()[:16]
+        if line.startswith(b"error:"):
+            short = line.decode().strip()
+        lines.append(f"{i} {text} {short}")
+    return sha.hexdigest(), lines
+
+
+def _stream_path(key: str) -> Path:
+    return STREAMS / f"{key}.txt"
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_golden_digest(key):
-    assert digest(key) == GOLDEN[key]
+    got_digest, got = stream(key)
+    pinned = _stream_path(key).read_text().splitlines()
+    for want, line in zip(pinned, got):
+        assert line == want, f"{key}: first instance that differs is {want!r}"
+    assert len(got) == len(pinned), f"{key}: {len(got)} instances, {len(pinned)} pinned"
+    assert got_digest == GOLDEN[key]
 
 
 if __name__ == "__main__":
     for key in GOLDEN:
-        print(f'    "{key}": "{digest(key)}",')
+        digest, lines = stream(key)
+        print(f'    "{key}": "{digest}",')
+        if "--write" in sys.argv[1:]:
+            path = _stream_path(key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("\n".join(lines) + "\n")
