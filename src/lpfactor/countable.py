@@ -13,8 +13,7 @@ scalar kernel does the rest.
 
 With counting measure (all atom measures 1) this specializes to the
 sequence spaces l_p x l_q.  At p = 1 and radius eps/2 it is the FINITE
-l1 x c0 scheme: ``sequences`` calls ``_agreement`` and ``_countable_uv``
-on its padded tuples, since eps^2/16 = (eps/2)^2/4.  TAIL, too, decides
+l1 x c0 scheme, since eps^2/16 = (eps/2)^2/4.  TAIL, too, decides
 feasibility by ``split_defects``, the one test of every solver.
 
 Every L_p solver enters through one checked edge, ``_lp_inputs``: a
@@ -23,10 +22,11 @@ in L_q, h in L_1) through the cheap sufficient bound of ``norm_is_finite``.
 The ``SimpleFunction`` constructors have already checked coefficients and
 measures.  ``_solve_checked`` runs that check once and answers p = oo by
 the certificate's one swap around a finite-p body on the checked tuples.
-``_tuple_split`` is the one radius rule: it computes E, eta and, in
-C-level passes, flat lists in step over the atoms outside E of their
-indices, defects, r_k and R_k.  ``_agreement`` wraps them in an
-``AgreementSplit``, and ``_countable_uv`` hands them to
+Every scheme's split, ``_tuple_split`` here and TAIL's in ``sequences``,
+has one shape: E's mask, eta, the weights, flat lists in step over the
+atoms outside E of their indices, defects, r_k and R_k, built in C-level
+passes, and the scheme's exact-radius rule.  ``_record`` wraps a split in
+an ``AgreementSplit``; ``_solve`` copies E and hands the rest to
 ``scalar._split_atoms`` for the per-atom work on bare floats.  An atom
 whose float radii starve the kernel gets the checked fallback, against
 rational lower bounds of its true radii; if one lies below the smallest
@@ -167,10 +167,12 @@ def check_memberships(fs, gs, hs, measures, p: Exponent) -> None:
 def _tuple_split(fs, gs, hs, measures, p: Exponent, eps: float):
     """The split of a checked instance with finite p, on bare tuples.
 
-    Returns the mask of atoms outside E, eta, its positive scale, and then
-    the four flat sequences over the atoms outside E, in step, that
-    ``scalar._split_atoms`` takes: their indices, their defects, r_i and
-    R_i.  Raises FeasibilityError unless eta < eps^2/4.
+    Returns the one split shape of every scheme: the mask of atoms outside
+    E, eta, the weights lambda_k, the four flat lists in step over the atoms
+    outside E that ``scalar._split_atoms`` takes (indices, defects, r_k and
+    R_k), and the exact-radius rule of the starved-atom fallback.  The
+    weights are lazy, read only when a record is built, so a split serves
+    one record or one solve.  Raises FeasibilityError unless eta < eps^2/4.
     """
     defects, outside, eta = split_defects(
         fs, gs, hs, measures, eps, "countable factorization"
@@ -191,7 +193,38 @@ def _tuple_split(fs, gs, hs, measures, p: Exponent, eps: float):
         big_rs = list(map(mul, repeat(eps), map(pow, ratios, repeat(inv_q))))
         ratios = map(pow, ratios, repeat(p.reciprocal()))
     rs = list(map(mul, repeat(eps), ratios))
-    return outside, eta, scale, working, working_defects, rs, big_rs
+    if eta > 0:  # lambda_k = |z_k - x_k y_k| mu(A_k) / eta
+        shares = map(mul, working_defects, compress(measures, outside))
+        lambdas = map(truediv, shares, repeat(eta))
+    else:
+        lambdas = repeat(0.0)
+
+    def exact_radii(d, _):  # r = eps (d/scale)^(1/p), R = eps (d/scale)^(1/q)
+        eps_q, t = Fraction(eps), Fraction(d) / Fraction(scale)
+        if inv_q == 0.0:  # exact, with R = eps
+            return eps_q * t, eps_q
+        return eps_q * _power_floor(t, p.reciprocal()), eps_q * _power_floor(t, inv_q)
+
+    return outside, eta, lambdas, working, working_defects, rs, big_rs, exact_radii
+
+
+def _solve(xs, ys, zs, split, label: str):
+    """u and v of a split, for every scheme; ``label`` names a refused atom."""
+    outside, _, _, *atoms = split
+    u, v = copy_pairs(xs, ys, zs, outside)
+    _split_atoms(xs, ys, zs, *atoms, label, u, v)
+    return u, v
+
+
+def _record(split) -> AgreementSplit:
+    """The ``AgreementSplit`` of a split, the one record of every scheme."""
+    outside, eta, lambdas, working, _, rs, big_rs, _ = split
+    return AgreementSplit(
+        agree=frozenset(compress(range(len(outside)), map(not_, outside))),
+        eta=eta,
+        lambdas=dict(zip(working, lambdas)),
+        radii=dict(zip(working, zip(rs, big_rs))),
+    )
 
 
 def agreement_split(
@@ -210,29 +243,7 @@ def agreement_split(
     fs, gs, hs, measures, p = _lp_inputs(f, g, h, p, eps)
     if p.is_infinite:
         raise ValueError("agreement_split requires finite p; swap the factors")
-    return _agreement(fs, gs, hs, measures, p, eps)
-
-
-def _agreement(fs, gs, hs, measures, p: Exponent, eps: float) -> AgreementSplit:
-    """``agreement_split`` at finite p on checked tuples."""
-    split = _tuple_split(fs, gs, hs, measures, p, eps)
-    outside, eta, _, working, defects, rs, big_rs = split
-    if eta > 0:  # lambda_k = |z_k - x_k y_k| mu(A_k) / eta
-        shares = map(mul, defects, compress(measures, outside))
-        lambdas = map(truediv, shares, repeat(eta))
-    else:
-        lambdas = repeat(0.0)
-    return _split_record(outside, eta, lambdas, working, rs, big_rs)
-
-
-def _split_record(outside, eta, lambdas, working, rs, big_rs) -> AgreementSplit:
-    """The record of a split; the last four run in step over the atoms outside E."""
-    return AgreementSplit(
-        agree=frozenset(compress(range(len(outside)), map(not_, outside))),
-        eta=eta,
-        lambdas=dict(zip(working, lambdas)),
-        radii=dict(zip(working, zip(rs, big_rs))),
-    )
+    return _record(_tuple_split(fs, gs, hs, measures, p, eps))
 
 
 def factor_countable(
@@ -254,23 +265,8 @@ def factor_countable(
 
 def _countable(fs, gs, hs, space, p: Exponent, eps: float):
     """``factor_countable`` at finite p on checked tuples."""
-    u, v = _countable_uv(fs, gs, hs, space.measures, p, eps)
+    split = _tuple_split(fs, gs, hs, space.measures, p, eps)
+    u, v = _solve(fs, gs, hs, split, "countable atom")
     # u and v: float lists of one length, the checked tuples' copies
     # rewritten by the kernel, which returns floats.
     return FactorizationCertificate._trusted(u, v, eps, eps, strict_v=p.value != 1)
-
-
-def _countable_uv(fs, gs, hs, measures, p: Exponent, eps: float):
-    """The lists u and v of ``factor_countable`` at finite p on checked tuples."""
-    outside, _, scale, *atoms = _tuple_split(fs, gs, hs, measures, p, eps)
-    u, v = copy_pairs(fs, gs, hs, outside)
-
-    def exact_radii(d, _):  # r = eps (d/scale)^(1/p), R = eps (d/scale)^(1/q)
-        eps_q, t = Fraction(eps), Fraction(d) / Fraction(scale)
-        if p.value == 1:  # exact, with R = eps
-            return eps_q * t, eps_q
-        inv_q = conjugate(p).reciprocal()
-        return eps_q * _power_floor(t, p.reciprocal()), eps_q * _power_floor(t, inv_q)
-
-    _split_atoms(fs, gs, hs, *atoms, exact_radii, "countable atom", u, v)
-    return u, v

@@ -12,12 +12,12 @@ certificates are reproducible:
 Case 1 wins when both 1 and 2 apply; boundaries (|x| = r/4 exactly) fall
 through to the next case.
 
-``factor_scalar`` is the public kernel for one atom, and ``_split`` its
-body on bare floats.  The solvers run ``_split_atoms``, the one per-atom
-loop of ``factor_countable`` and both ``factor_seq`` schemes, on flat
-inputs their split already holds: the working indices, their defects
-|z - xy| and the radii (r, R), each computed by the caller's own radius
-rule.  The loop tests feasibility against the defect it is given and
+``factor_scalar`` is the public kernel for one atom, and ``_split`` its body
+on bare floats.  ``countable._solve``, the one solve of ``factor_countable``
+and both ``factor_seq`` schemes, runs the per-atom loop ``_split_atoms`` on
+flat inputs the scheme's split already holds: the working indices, their
+defects |z - xy| and the radii (r, R), each computed by that scheme's own
+radius rule.  The loop tests feasibility against the defect it is given and
 case 1 inline, and calls ``_split`` for cases 2 and 3.  Where rounding
 starves the float radii, ``_checked_pair`` checks the same three
 constructions exactly against rational lower bounds of the radii.
@@ -92,11 +92,11 @@ def _split(x: float, y: float, r: float, R: float, z: float):
 def _split_atoms(xs, ys, zs, working, defects, rs, big_rs, exact_radii, label, u, v):
     """Split z = uv at each working atom, writing u[i] and v[i].
 
-    The one per-atom loop of ``factor_countable`` and both ``factor_seq``
-    schemes.  ``working``, ``defects``, ``rs`` and ``big_rs`` run in step:
-    atom i, its defect |z - xy|, which the caller's split already holds, and
-    its radii (r, R).  u and v hold x and y at the working atoms on
-    entry, so case 1 only writes v; cases 2 and 3 go through ``_split``.
+    The one per-atom loop, run by ``countable._solve`` for every scheme.
+    ``working``, ``defects``, ``rs`` and ``big_rs`` run in step: atom i,
+    its defect |z - xy|, which the split already holds, and its radii
+    (r, R).  u and v hold x and y at the working atoms on entry, so case 1
+    only writes v; cases 2 and 3 go through ``_split``.
     Where the float radii starve the kernel, ``_checked_pair`` takes
     ``exact_radii(d, R)``: rational lower bounds of the true radii.
     """

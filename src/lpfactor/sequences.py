@@ -15,15 +15,16 @@ schemes are implemented:
 
 FINITE, the default, gives the sharper flat sup bound eps/2.
 
-The edge checks the scheme, eps and the entries and pads the inputs once;
-both schemes then run on bare tuples.  Both decide feasibility in one place,
+``_scheme_split`` checks the scheme, eps and the entries, pads the inputs
+once and returns the scheme's split, in the one shape of
+``countable._tuple_split``.  Both decide feasibility in one place,
 ``countable.split_defects`` on counting measure at eps/2, each under its
 own context, so the defect and the eps^2/16 bound are the same numbers for
-both.  TAIL keeps only its weights, lambdas and radii, built in C-level
-passes, and ``scalar._split_atoms`` runs the per-index loop on bare floats.
-An index whose float radii starve the kernel gets the checked fallback,
-against its exact rational r_k; if r_k lies below the smallest double, no
-double meets it and FeasibilityError says so.
+both.  TAIL keeps only its weights, lambdas, radii and exact-radius rule,
+built in C-level passes.  ``countable._record`` and ``countable._solve``
+serve both schemes.  An index whose float radii starve the kernel gets the
+checked fallback, against its exact rational r_k; if r_k lies below the
+smallest double, no double meets it and FeasibilityError says so.
 """
 from __future__ import annotations
 
@@ -35,11 +36,9 @@ from operator import ge, mul, truediv
 from typing import Iterable, Sequence
 
 from .certificates import FactorizationCertificate
-from .countable import AgreementSplit, _agreement, _countable_uv, _split_record
-from .countable import split_defects
+from .countable import AgreementSplit, _record, _solve, _tuple_split, split_defects
 from .instances import SeqInstance
 from .measure import _L1, fsum_or_inf
-from .scalar import _split_atoms
 from .scalar import factor_scalar  # noqa: F401  (traced here by bench/spans.py)
 
 __all__ = ["TailWeights", "tail_weights", "seq_split", "factor_seq", "STRATEGIES"]
@@ -80,32 +79,37 @@ def tail_weights(a: Iterable[float]) -> TailWeights:
     return tw
 
 
-def _edge(x, y, z, eps, strategy):
-    """Check the scheme, eps and the entries, and return the inputs padded once.
+def _scheme_split(x, y, z, eps, strategy):
+    """The padded inputs and FINITE's or TAIL's split of them, in one shape.
 
-    The entries and eps get ``SeqInstance``'s checks; eps/2 gets none:
-    it rounds to 0 at eps = 5e-324, and both schemes' zero bound refuses.
+    The scheme, eps and the entries are checked here, the entries and eps
+    by ``SeqInstance``; eps/2 is not: it rounds to 0 at eps = 5e-324, and
+    both schemes' zero bound refuses.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
-    return SeqInstance(x, y, z, eps).padded()
+    xs, ys, zs = SeqInstance(x, y, z, eps).padded()
+    if strategy == "finite":
+        split = _tuple_split(xs, ys, zs, (1.0,) * len(xs), _L1, eps / 2.0)
+    else:
+        split = _tail_split(xs, ys, zs, eps)
+    return xs, ys, zs, split
 
 
 def _tail_split(xs, ys, zs, eps):
-    """TAIL's mask of working indices, eta, lambda_k, then its flat lists.
+    """TAIL's split, in the shape of ``countable._tuple_split``.
 
     The defect test is FINITE's, ``split_defects`` on counting measure at
-    eps/2, whose bound is eps^2/16; only the weights and radii are TAIL's
-    own.  The flat lists run in step along the working indices, as
-    ``scalar._split_atoms`` takes them: the indices, their defects, r_k and
-    R_k.  eta is the defect root 2 ||z - xy||_1^(1/2), not the defect.
+    eps/2, whose bound is eps^2/16; only the weights, radii and exact-radius
+    rule are TAIL's own.  eta is the defect root 2 ||z - xy||_1^(1/2), not
+    the defect.
     """
     defects, outside, _ = split_defects(
         xs, ys, zs, (1.0,) * len(xs), eps / 2.0, "sequence factorization"
     )
     working = list(compress(range(len(outside)), outside))
-    if not working:
-        return outside, 0.0, [], working, [], [], []
+    if not working:  # nothing to split, so no radius is ever asked for
+        return outside, 0.0, [], working, [], [], [], None
 
     shares = list(compress(defects, outside))
     weights = tail_weights(defects)
@@ -114,7 +118,12 @@ def _tail_split(xs, ys, zs, eps):
     lambdas = list(map(truediv, shares, map(mul, repeat(eta), ws)))
     rs = list(map(mul, lambdas, repeat(eps)))
     big_rs = list(map(mul, repeat(2.0), ws))
-    return outside, eta, lambdas, working, shares, rs, big_rs
+
+    def exact_radii(d, big_r):  # r_k = d_k / (eta w_k) * eps, with w_k = R_k / 2
+        r = Fraction(d) * Fraction(eps) / Fraction(eta)
+        return 2 * r / Fraction(big_r), Fraction(big_r)
+
+    return outside, eta, lambdas, working, shares, rs, big_rs, exact_radii
 
 
 def seq_split(
@@ -130,11 +139,7 @@ def seq_split(
     eps/2.  Raises FeasibilityError unless the l1 defect is strictly below
     eps^2/16.
     """
-    xs, ys, zs = _edge(x, y, z, eps, strategy)
-    if strategy == "finite":
-        return _agreement(xs, ys, zs, (1.0,) * len(xs), _L1, eps / 2.0)
-    outside, eta, lambdas, working, _, rs, big_rs = _tail_split(xs, ys, zs, eps)
-    return _split_record(outside, eta, lambdas, working, rs, big_rs)
+    return _record(_scheme_split(x, y, z, eps, strategy)[3])
 
 
 def factor_seq(
@@ -153,19 +158,8 @@ def factor_seq(
     shrinking radii, whose first value is the defect root
     eta = 2 ||z - xy||_1^(1/2).
     """
-    xs, ys, zs = _edge(x, y, z, eps, strategy)
-    if strategy == "finite":
-        u, v = _countable_uv(xs, ys, zs, (1.0,) * len(xs), _L1, eps / 2.0)
-        # Float lists of the padded length, as in factor_countable.
-        return FactorizationCertificate._trusted(u, v, eps, eps)
-    _, eta, _, *atoms = _tail_split(xs, ys, zs, eps)
-    u = list(xs)
-    v = list(ys)
-
-    def exact_radii(d, big_r):  # r_k = d_k / (eta w_k) * eps, with w_k = R_k / 2
-        r = Fraction(d) * Fraction(eps) / Fraction(eta)
-        return 2 * r / Fraction(big_r), Fraction(big_r)
-
-    _split_atoms(xs, ys, zs, *atoms, exact_radii, "sequence index", u, v)
-    # u and v: copies of the padded float tuples, rewritten by the kernel.
+    xs, ys, zs, split = _scheme_split(x, y, z, eps, strategy)
+    label = "countable atom" if strategy == "finite" else "sequence index"
+    u, v = _solve(xs, ys, zs, split, label)
+    # Float lists of the padded length, as in factor_countable.
     return FactorizationCertificate._trusted(u, v, eps, eps)
