@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     except FeasibilityError as exc:
         print(f"infeasible: defect {exc.defect} >= bound {exc.bound}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

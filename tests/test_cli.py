@@ -369,6 +369,22 @@ class TestPipelineFiles:
         assert json.loads(out)["v"] == [1.01]
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--instance", "{missing}", "--certificate", "{missing}"],
+            ["factor", "--instance", "{missing}"],
+            ["gen", "--out", "{missing}/x.json"],
+        ],
+        ids=["verify", "factor", "gen"],
+    )
+    def test_missing_or_unwritable_file_is_bad_input(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "missing")
+        code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+        assert code == 1 and out == ""
+        assert re.fullmatch(r"bad input: [^\n]*missing[^\n]*\n", err)
+
+
 class TestSweep:
     def test_selected_criteria_fast(self, capsys):
         code, out, _ = run(
@@ -377,6 +393,14 @@ class TestSweep:
         assert code == 0
         assert "criterion 5 [PASS]" in out
         assert "criterion 6 [PASS]" in out
+
+    def test_criteria_range(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--criteria", "5-6", "--fast")
+        assert code == 0
+        assert [line.split("[")[0] for line in out.splitlines()] == [
+            "criterion 5 ",
+            "criterion 6 ",
+        ]
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "sweep", "--criteria", "6", "--json")
