@@ -17,6 +17,16 @@ d mu, the radius ratios d/eta do not see the measure, and the measure
 total is the same fsum.  So both copies must get the parent's (u, v) bit
 for bit, with the same parameters.  Stated exclusion: a draw whose split
 share d mu/2 is subnormal, where halving rounds and eta may move by an ulp.
+
+Sign.  Negating g and h leaves every defect |z - xy| and every norm as it
+is, and each construction is odd in (y, z) with x fixed: division by x
+negates v, division by y keeps u, and the balanced split puts sgn z on v.
+So (f, g, h) -> (f, -g, -h) keeps u and negates v.  At p = oo the swap
+moves the sign choice to the u side, and (-f, g, -h) negates u.  Signed
+zeros tie.  Stated exclusion, for ``factor_general`` at p in {1, oo}: atoms
+of measure 0, and atoms where the coefficient the tail divisor snaps (g at
+p = 1, f at p = oo) is 0, since ``snap_to_gamma_grid`` sends 0 to +gamma
+and a null atom beyond the cap to 1.
 """
 import math
 import random
@@ -156,3 +166,63 @@ def test_lp_solvers_copy_a_split_atom(solve, p):
         refused += isinstance(before, str)
         compared += 1
     assert 0 < refused < compared  # both kinds of outcome were compared
+
+
+def _negated(fn):
+    return SimpleFunction(fn.space, tuple(-c for c in fn.coefficients))
+
+
+def _floats(outcome):
+    """The outcome with its factors as floats, so signed zeros tie."""
+    if isinstance(outcome, str):
+        return outcome
+    u, v, flags, params = outcome
+    return list(map(float.fromhex, u)), list(map(float.fromhex, v)), flags, params
+
+
+def _assert_negates(before, after, side, kept):
+    """``after`` is ``before`` with one side (0 = u, 1 = v) negated on ``kept``."""
+    before, after = _floats(before), _floats(after)
+    if isinstance(before, str):
+        assert after == before
+        return
+    assert after[2:] == before[2:]
+    for k in (0, 1):
+        sign = -1.0 if k == side else 1.0
+        assert [after[k][i] for i in kept] == [sign * before[k][i] for i in kept]
+
+
+@pytest.mark.parametrize("p", PS)
+@pytest.mark.parametrize("solve", [factor_countable, factor_general])
+def test_lp_solvers_negate_one_factor_with_the_sign(solve, p):
+    refused = 0
+    for inst, eps, _ in _draws("lp", p):
+        f, g, h = inst.f, inst.g, inst.h
+        if p == "inf":
+            side, signed, snapped = 0, (_negated(f), g, _negated(h)), f
+        else:
+            side, signed, snapped = 1, (f, _negated(g), _negated(h)), g
+        kept = range(len(inst.space))
+        if solve is factor_general and p in (1, "inf"):  # the stated exclusion
+            kept = [
+                i
+                for i in kept
+                if inst.space.measures[i] != 0 and snapped.coefficients[i] != 0
+            ]
+        before = _outcome(solve, f, g, h, inst.p, eps)
+        _assert_negates(before, _outcome(solve, *signed, inst.p, eps), side, kept)
+        refused += isinstance(before, str)
+    assert 0 < refused < DRAWS
+
+
+@pytest.mark.parametrize("strategy", ["finite", "tail"])
+def test_sequences_negate_v_with_the_sign(strategy):
+    refused = 0
+    for inst, eps, _ in _draws("seq"):
+        xs, ys, zs = inst.padded()
+        before = _outcome(factor_seq, xs, ys, zs, eps, strategy)
+        ys, zs = ([-c for c in s] for s in (ys, zs))
+        after = _outcome(factor_seq, xs, ys, zs, eps, strategy)
+        _assert_negates(before, after, 1, range(len(xs)))
+        refused += isinstance(before, str)
+    assert 0 < refused < DRAWS
