@@ -368,7 +368,6 @@ class TestPipelineFiles:
         assert code == 0
         assert json.loads(out)["v"] == [1.01]
 
-
     @pytest.mark.parametrize(
         "argv",
         [

@@ -80,15 +80,15 @@ def _lp_specs(p):
         for v, (infinite, scale) in enumerate(VARIANTS):
             for e, eps in enumerate(EPSILONS):
                 yield InstanceSpec(
-                        kind="lp",
-                        n=n,
-                        eps=eps,
-                        defect_fraction=(0.1, 0.6, 0.97)[(k + v + e) % 3],
-                        seed=1000 * k + 100 * v + e,
-                        p=p,
-                        scale_min=scale,
-                        scale_max=scale,
-                        infinite_atoms=infinite,
+                    kind="lp",
+                    n=n,
+                    eps=eps,
+                    defect_fraction=(0.1, 0.6, 0.97)[(k + v + e) % 3],
+                    seed=1000 * k + 100 * v + e,
+                    p=p,
+                    scale_min=scale,
+                    scale_max=scale,
+                    infinite_atoms=infinite,
                 )
 
 
@@ -151,13 +151,13 @@ def _seq_specs():
         for v, scale in enumerate((1.0, 1e6)):
             for e, eps in enumerate(EPSILONS):
                 yield InstanceSpec(
-                        kind="seq",
-                        n=n,
-                        eps=eps,
-                        defect_fraction=(0.1, 0.6, 0.97)[(k + v + e) % 3],
-                        seed=1000 * k + 100 * v + e,
-                        scale_min=scale,
-                        scale_max=scale,
+                    kind="seq",
+                    n=n,
+                    eps=eps,
+                    defect_fraction=(0.1, 0.6, 0.97)[(k + v + e) % 3],
+                    seed=1000 * k + 100 * v + e,
+                    scale_min=scale,
+                    scale_max=scale,
                 )
 
 
@@ -194,14 +194,14 @@ def _cases(key: str):
             )
         return
     if arg == "n=5000":
-        solve, specs, edges = factor_general, _large_specs(), ()
+        solve = factor_general
+        cases = [(_compact(spec), gen_instance(spec)) for spec in _large_specs()]
     else:
         solve = LP_SOLVERS[solver]
         p = arg.split("=")[1]
         p = p if p == "inf" else float(p)
-        specs, edges = _lp_specs(p), EDGES
-    cases = [(_compact(spec), gen_instance(spec)) for spec in specs]
-    cases += [(f"edge {k}", _edge_instance(edge, p)) for k, edge in enumerate(edges)]
+        cases = [(_compact(spec), gen_instance(spec)) for spec in _lp_specs(p)]
+        cases += [(f"edge {k}", _edge_instance(e, p)) for k, e in enumerate(EDGES)]
     for text, inst in cases:
         yield text, _line(lambda: solve(inst.f, inst.g, inst.h, inst.p, inst.eps))
 
